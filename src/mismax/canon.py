@@ -1,8 +1,7 @@
 """Canonical labeling and isomorphism testing for small graphs.
 
-The canonical key is the lexicographically minimal upper-triangle bit
-string over all vertex relabelings, with the triangle read in column
-order (0,1), (0,2), (1,2), (0,3), ... and earlier bits more significant.
+The canonical key is the lexicographically minimal triangle mask (see
+graph.triangle_mask) over all vertex relabelings.
 Found by branch-and-bound over partial labelings with prefix pruning.
 """
 
@@ -10,41 +9,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, from_edges
+from .graph import Graph, from_triangle_mask, triangle_pairs
 
 CANON_MAX_N = 10
 
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """Order plus the minimal upper-triangle edge bit string as an integer key."""
+    """Order plus the minimal triangle mask as an integer key."""
 
     n: int
     key: int
 
     def to_graph(self) -> Graph:
-        return graph_from_triangle_mask(self.n, self.key)
-
-
-def triangle_mask(g: Graph) -> int:
-    """Pack the upper triangle column-by-column; pair (0,1) is the top bit."""
-    mask = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            mask = mask << 1 | (g.adj[i] >> j & 1)
-    return mask
-
-
-def graph_from_triangle_mask(n: int, mask: int) -> Graph:
-    nbits = n * (n - 1) // 2
-    edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if mask >> (nbits - 1 - k) & 1:
-                edges.append((i, j))
-            k += 1
-    return from_edges(n, edges)
+        return from_triangle_mask(self.n, self.key)
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
@@ -113,20 +91,17 @@ def is_isomorphic(g1: Graph, g2: Graph) -> bool:
 
 
 def _permutation_bit_tables(n: int, perm: list[int]) -> list[list[int]]:
-    """Chunked lookup tables applying a vertex permutation to a triangle mask.
-
-    Bit k of the mask counts from the LEAST significant end here; the orbit
-    scan below only needs a consistent convention, not the canonical one.
-    """
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
-    index = {p: k for k, p in enumerate(pairs)}
+    """Chunked lookup tables applying a vertex permutation to a triangle mask."""
+    pairs = triangle_pairs(n)
     nbits = len(pairs)
+    bit_of = {p: nbits - 1 - k for k, p in enumerate(pairs)}
+    # dest[b]: where the permutation sends the pair stored at mask bit b
     dest = []
-    for i, j in pairs:
+    for i, j in reversed(pairs):
         a, b = perm[i], perm[j]
         if a > b:
             a, b = b, a
-        dest.append(index[(a, b)])
+        dest.append(bit_of[(a, b)])
     nchunks = (nbits + 6) // 7
     tables = []
     for c in range(nchunks):

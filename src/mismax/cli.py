@@ -49,7 +49,10 @@ def _read_graphs(path: str, fmt: str) -> Iterator[Graph]:
 def _parse_t_spec(spec: str) -> list[int]:
     if ".." in spec:
         lo, hi = spec.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        ts = list(range(int(lo), int(hi) + 1))
+        if not ts:
+            raise SystemExit2(f"empty t range {spec}")
+        return ts
     return [int(spec)]
 
 
@@ -121,9 +124,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         if args.n is None:
             raise SystemExit2("one of --n or --input is required")
-        ts = None if args.all_t else [args.t] if args.t is not None else None
-        if ts is None and not args.all_t:
+        if args.t is None and not args.all_t:
             raise SystemExit2("give --t or --all-t")
+        ts = None if args.all_t else [args.t]
         reports.extend(
             verify_bound_exhaustive(
                 args.n,
@@ -193,8 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify the bound exhaustively or on a stream")
     p.add_argument("--n", type=int, default=None, help="exhaustive scan order")
     p.add_argument("--input", default=None, help="graph6 stream file or - for stdin")
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--all-t", action="store_true")
+    which_t = p.add_mutually_exclusive_group()
+    which_t.add_argument("--t", type=int, default=None)
+    which_t.add_argument("--all-t", action="store_true")
     p.add_argument("--side", choices=["mis", "clique"], default="mis")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--n8-opt-in", action="store_true")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .graph import Graph, from_edges
+from .graph import Graph, from_edges, from_triangle_mask, triangle_mask
 
 GRAPH6_HEADER = ">>graph6<<"
 GRAPH6_MAX_N = 62
@@ -18,11 +18,6 @@ class CodecError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-
-
-def _triangle_pairs(n: int) -> list[tuple[int, int]]:
-    # column order: (0,1), (0,2), (1,2), (0,3), (1,3), (2,3), ...
-    return [(i, j) for j in range(1, n) for i in range(j)]
 
 
 def graph6_decode(line: str) -> Graph:
@@ -53,12 +48,7 @@ def graph6_decode(line: str) -> Graph:
     pad = 6 * nbytes - nbits
     if bitstream & ((1 << pad) - 1):
         raise CodecError("nonzero padding bits in graph6 string")
-    bitstream >>= pad
-    edges = []
-    for k, (i, j) in enumerate(_triangle_pairs(n)):
-        if bitstream >> (nbits - 1 - k) & 1:
-            edges.append((i, j))
-    return from_edges(n, edges)
+    return from_triangle_mask(n, bitstream >> pad)
 
 
 def graph6_encode(g: Graph) -> str:
@@ -68,10 +58,7 @@ def graph6_encode(g: Graph) -> str:
     n = g.n
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    bitstream = 0
-    for i, j in _triangle_pairs(n):
-        bitstream = bitstream << 1 | (g.adj[i] >> j & 1)
-    bitstream <<= 6 * nbytes - nbits
+    bitstream = triangle_mask(g) << (6 * nbytes - nbits)
     chars = [chr(n + 63)]
     for k in range(nbytes - 1, -1, -1):
         chars.append(chr((bitstream >> 6 * k & 63) + 63))

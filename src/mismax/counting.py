@@ -130,14 +130,10 @@ def polynomial_string(coeffs: list[int]) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def _check_oracle_order(g: Graph) -> None:
-    if g.n > ORACLE_MAX_N:
-        raise ValueError(f"oracle subset scan limited to n <= {ORACLE_MAX_N}, got {g.n}")
-
-
 def oracle_mis_size_profile(g: Graph) -> SizeProfile:
     """Independent oracle: scan all 2^n subsets for maximal independent sets."""
-    _check_oracle_order(g)
+    if g.n > ORACLE_MAX_N:
+        raise ValueError(f"oracle subset scan limited to n <= {ORACLE_MAX_N}, got {g.n}")
     n = g.n
     adj = g.adj
     counts = [0] * (n + 1)
@@ -165,26 +161,6 @@ def oracle_mis_size_profile(g: Graph) -> SizeProfile:
         if maximal:
             counts[s.bit_count()] += 1
     return SizeProfile(n, tuple(counts))
-
-
-def independent_set_counts(g: Graph) -> list[int]:
-    """Per-size counts of ALL independent sets (maximal or not); counts[0] = 1."""
-    _check_oracle_order(g)
-    n = g.n
-    adj = g.adj
-    counts = [0] * (n + 1)
-    for s in range(1 << n):
-        independent = True
-        m = s
-        while m:
-            v = (m & -m).bit_length() - 1
-            if adj[v] & s:
-                independent = False
-                break
-            m &= m - 1
-        if independent:
-            counts[s.bit_count()] += 1
-    return counts
 
 
 def is_independent(g: Graph, s: int) -> bool:

@@ -4,10 +4,12 @@ proof-trace diagnostics, and the exhaustive bound verifier."""
 from __future__ import annotations
 
 import multiprocessing
+import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .canon import CanonicalForm, canonical_form
+from .codec import graph6_encode
 from .counting import (
     _expand,
     maximal_clique_counts,
@@ -15,6 +17,7 @@ from .counting import (
     mis_size_profile,
 )
 from .graph import (
+    _rows_from_mask,
     Graph,
     complete_graph,
     degree,
@@ -22,6 +25,7 @@ from .graph import (
     disjoint_union,
     empty_graph,
     from_edges,
+    from_triangle_mask,
     induced_subgraph,
     min_degree,
 )
@@ -156,12 +160,17 @@ def induction_split(g: Graph, t: int, v: int | str = AUTO) -> SplitReport:
     gminus_counts = maximal_clique_counts(gminus.adj, gminus.n)
     gminus_count = gminus_counts[t] if t <= gminus.n else 0
 
-    report = SplitReport(v, t, a_count, b_count, nbhd_count, gminus_count)
-    assert report.a_count == report.nbhd_count
-    assert report.b_count <= report.gminus_count
     total = maximal_clique_counts(g.adj, g.n)[t] if t <= g.n else 0
-    assert report.a_count + report.b_count == total
-    return report
+    for holds, identity in (
+        (a_count == nbhd_count, f"a_count == nbhd_count ({a_count} vs {nbhd_count})"),
+        (b_count <= gminus_count, f"b_count <= gminus_count ({b_count} vs {gminus_count})"),
+        (a_count + b_count == total, f"a + b == total ({a_count} + {b_count} vs {total})"),
+    ):
+        if not holds:
+            raise ValueError(
+                f"split identity {identity} fails on graph {graph6_encode(g)} at v={v}, t={t}"
+            )
+    return SplitReport(v, t, a_count, b_count, nbhd_count, gminus_count)
 
 
 def proof_subcase(g: Graph, t: int) -> str:
@@ -175,16 +184,9 @@ def proof_subcase(g: Graph, t: int) -> str:
     return "2a" if d >= g.n - q + 1 else "2b"
 
 
-def labeled_graphs(n: int, allow_n8: bool = False) -> Iterator[Graph]:
-    """Every labeled simple graph on n vertices exactly once, by edge-mask order."""
-    _check_exhaustive_order(n, allow_n8)
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
-    for mask in range(1 << len(pairs)):
-        edges = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
-        yield from_edges(n, edges)
-
-
 def _check_exhaustive_order(n: int, allow_n8: bool) -> None:
+    if n < 1:
+        raise ValueError(f"exhaustive scan needs n >= 1, got {n}")
     limit = EXHAUSTIVE_HARD_MAX_N if allow_n8 else EXHAUSTIVE_DEFAULT_MAX_N
     if n > limit:
         if n == EXHAUSTIVE_HARD_MAX_N:
@@ -216,35 +218,49 @@ class ExtremalReport:
     coverage: str
 
 
-def _adj_from_mask(n: int, pairs: list[tuple[int, int]], mask: int) -> list[int]:
-    rows = [0] * n
-    k = 0
-    while mask:
-        if mask & 1:
-            i, j = pairs[k]
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-        mask >>= 1
-        k += 1
-    return rows
+def _report(
+    n: int,
+    t: int,
+    side: str,
+    max_observed: int,
+    forms: Iterable[CanonicalForm],
+    graphs_examined: int,
+    coverage: str,
+) -> ExtremalReport:
+    """Shared tail of both verifiers: dedupe the attainer forms in first-seen
+    order and compare them with the extremal graph of the side."""
+    f = bound_f(n, t).f
+    attainers: tuple[CanonicalForm, ...] = ()
+    unique = False
+    # f = 0 means n < t: every graph meets the bound and no extremal graph exists
+    if f:
+        attainers = tuple(dict.fromkeys(forms))
+        expected = build_H(n, t) if side == "mis" else build_turan(n, t)
+        unique = attainers == (canonical_form(expected),)
+    return ExtremalReport(
+        n=n,
+        t=t,
+        f=f,
+        max_observed=max_observed,
+        attainers=attainers,
+        bound_holds=max_observed <= f,
+        unique_attainer=unique,
+        graphs_examined=graphs_examined,
+        coverage=coverage,
+    )
 
 
-def _scan_masks(args: tuple[int, int, int, int, str]) -> tuple[list[int], dict[int, list[int]]]:
-    """Worker: scan labeled-graph masks [lo, hi) on n vertices.
+def _scan_masks(n: int, lo: int, hi: int) -> tuple[list[int], dict[int, list[int]]]:
+    """Worker: count the maximal cliques of the labeled graphs with triangle
+    masks in [lo, hi) on n vertices.
 
     Returns (per-t maximum counts, {t: masks attaining bound_f(n,t)}).
     """
-    n, lo, hi, full, side = args
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
     bounds = [0] + [bound_f(n, t).f for t in range(1, n + 1)]
     max_counts = [0] * (n + 1)
     attainers: dict[int, list[int]] = {t: [] for t in range(1, n + 1)}
     for mask in range(lo, hi):
-        rows = _adj_from_mask(n, pairs, mask)
-        if side == "mis":
-            # MIS profile of G = maximal-clique profile of its complement
-            rows = [(full & ~row) & ~(1 << v) for v, row in enumerate(rows)]
-        counts = maximal_clique_counts(tuple(rows), n)
+        counts = maximal_clique_counts(_rows_from_mask(n, mask), n)
         for t in range(1, n + 1):
             c = counts[t]
             if c > max_counts[t]:
@@ -262,28 +278,33 @@ def verify_bound_exhaustive(
     allow_n8: bool = False,
 ) -> list[ExtremalReport]:
     """Scan all labeled graphs on n vertices once, reporting one ExtremalReport
-    per requested t. Deterministic regardless of worker count."""
+    per requested t. Deterministic regardless of worker count.
+
+    The scan counts maximal cliques. Complementing is a bijection on labeled
+    graphs and turns maximal independent sets into maximal cliques, so the
+    per-t maxima are the same on both sides, and the MIS attainers are the
+    complements of the clique attainers.
+    """
     _check_exhaustive_order(n, allow_n8)
     if side not in ("mis", "clique"):
         raise ValueError("side must be 'mis' or 'clique'")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     ts = list(ts) if ts is not None else list(range(1, n + 1))
     for t in ts:
         if not 1 <= t <= n:
             raise ValueError(f"t={t} outside 1..{n}")
     nbits = n * (n - 1) // 2
     total = 1 << nbits
-    full = (1 << n) - 1
+    workers = min(workers, os.cpu_count() or 1)
 
     if workers > 1 and total >= 1 << 12:
         chunk = (total + workers - 1) // workers
-        jobs = [
-            (n, lo, min(lo + chunk, total), full, side)
-            for lo in range(0, total, chunk)
-        ]
+        jobs = [(n, lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
         with multiprocessing.Pool(workers) as pool:
-            parts = pool.map(_scan_masks, jobs)
+            parts = pool.starmap(_scan_masks, jobs)
     else:
-        parts = [_scan_masks((n, 0, total, full, side))]
+        parts = [_scan_masks(n, 0, total)]
 
     max_counts = [0] * (n + 1)
     attainer_masks: dict[int, list[int]] = {t: [] for t in range(1, n + 1)}
@@ -293,40 +314,24 @@ def verify_bound_exhaustive(
         for t, masks in att.items():
             attainer_masks[t].extend(masks)  # parts are in index order
 
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
-    reports = []
-    for t in ts:
-        f = bound_f(n, t).f
-        forms: list[CanonicalForm] = []
-        seen = set()
-        for mask in attainer_masks[t]:
-            g = Graph(n, tuple(_adj_from_mask(n, pairs, mask)))
-            cf = canonical_form(g)
-            if cf not in seen:
-                seen.add(cf)
-                forms.append(cf)
-        expected = build_H(n, t) if side == "mis" else build_turan(n, t)
-        expected_cf = canonical_form(expected)
-        reports.append(
-            ExtremalReport(
-                n=n,
-                t=t,
-                f=f,
-                max_observed=max_counts[t],
-                attainers=tuple(forms),
-                bound_holds=max_counts[t] <= f,
-                unique_attainer=forms == [expected_cf],
-                graphs_examined=total,
-                coverage=f"exhaustive-labeled({n})",
-            )
+    flip = total - 1 if side == "mis" else 0  # XOR with all edges complements
+    return [
+        _report(
+            n,
+            t,
+            side,
+            max_counts[t],
+            (canonical_form(from_triangle_mask(n, mask ^ flip)) for mask in attainer_masks[t]),
+            total,
+            f"exhaustive-labeled({n})",
         )
-    return reports
+        for t in ts
+    ]
 
 
 def verify_bound_stream(
     graphs: Iterable[Graph],
     t: int,
-    expected: Graph | None = None,
     side: str = "mis",
     source: str = "stream",
 ) -> ExtremalReport:
@@ -342,7 +347,7 @@ def verify_bound_stream(
     n = None
     max_observed = 0
     examined = 0
-    attainer_graphs: list[Graph] = []
+    forms: dict[CanonicalForm, None] = {}
     f = 0
     for g in graphs:
         if n is None:
@@ -358,28 +363,8 @@ def verify_bound_stream(
         c = counts.get(t)
         if c > max_observed:
             max_observed = c
-        if c == f:
-            attainer_graphs.append(g)
+        if c == f and f:  # f = 0 records no attainers, see _report
+            forms[canonical_form(g)] = None
     if n is None:
         raise ValueError("empty graph stream")
-    forms: list[CanonicalForm] = []
-    seen = set()
-    for g in attainer_graphs:
-        cf = canonical_form(g)
-        if cf not in seen:
-            seen.add(cf)
-            forms.append(cf)
-    if expected is None:
-        expected = build_H(n, t) if side == "mis" else build_turan(n, t)
-    expected_cf = canonical_form(expected) if expected.n == n else None
-    return ExtremalReport(
-        n=n,
-        t=t,
-        f=f,
-        max_observed=max_observed,
-        attainers=tuple(forms),
-        bound_holds=max_observed <= f,
-        unique_attainer=forms == [expected_cf],
-        graphs_examined=examined,
-        coverage=f"stream({source})",
-    )
+    return _report(n, t, side, max_observed, forms, examined, f"stream({source})")

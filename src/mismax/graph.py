@@ -2,11 +2,17 @@
 
 Vertex sets are plain Python ints used as bit vectors: bit v set means
 vertex v is in the set. All structural operations return new graphs.
+
+This module also owns the upper-triangle edge mask, the one integer
+encoding of a whole graph used by graph6, the canonical key and the
+exhaustive scan: pairs in column order (0,1), (0,2), (1,2), (0,3), ...,
+earlier pairs in more significant bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 MAX_VERTICES = 64
@@ -145,3 +151,44 @@ def complete_graph(n: int) -> Graph:
 
 def empty_graph(n: int) -> Graph:
     return Graph(n, (0,) * n)
+
+
+def triangle_pairs(n: int) -> list[tuple[int, int]]:
+    """Upper-triangle pairs in mask order: (0,1), (0,2), (1,2), (0,3), ..."""
+    return [(i, j) for j in range(1, n) for i in range(j)]
+
+
+@lru_cache(maxsize=MAX_VERTICES + 1)
+def _bit_pairs(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Entry b is (i, j, 1 << i, 1 << j) for the pair stored at mask bit b."""
+    return tuple((i, j, 1 << i, 1 << j) for i, j in reversed(triangle_pairs(n)))
+
+
+def _rows_from_mask(n: int, mask: int) -> tuple[int, ...]:
+    """Adjacency rows of the triangle mask, visiting only its set bits."""
+    table = _bit_pairs(n)
+    rows = [0] * n
+    while mask:
+        low = mask & -mask
+        i, j, bi, bj = table[low.bit_length() - 1]
+        rows[i] |= bj
+        rows[j] |= bi
+        mask ^= low
+    return tuple(rows)
+
+
+def triangle_mask(g: Graph) -> int:
+    """Pack the upper triangle in mask order; pair (0,1) is the top bit."""
+    mask = 0
+    adj = g.adj
+    for i, j, _, _ in reversed(_bit_pairs(g.n)):
+        mask = mask << 1 | (adj[i] >> j & 1)
+    return mask
+
+
+def from_triangle_mask(n: int, mask: int) -> Graph:
+    """Inverse of triangle_mask for an n-vertex graph."""
+    nbits = n * (n - 1) // 2
+    if mask < 0 or mask >> nbits:
+        raise ValueError(f"triangle mask has bits beyond the {nbits} pairs of n={n}")
+    return Graph(n, _rows_from_mask(n, mask))

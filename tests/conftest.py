@@ -3,7 +3,7 @@ import random
 from hypothesis import strategies as st
 
 from mismax import Graph, from_edges
-from mismax.canon import graph_from_triangle_mask
+from mismax.graph import from_triangle_mask
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -29,4 +29,4 @@ def graphs(draw, min_n: int = 0, max_n: int = 8):
     n = draw(st.integers(min_n, max_n))
     nbits = n * (n - 1) // 2
     mask = draw(st.integers(0, (1 << nbits) - 1))
-    return graph_from_triangle_mask(n, mask)
+    return from_triangle_mask(n, mask)

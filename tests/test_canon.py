@@ -13,8 +13,8 @@ from mismax import (
     is_isomorphic,
     permute,
 )
-from mismax.canon import graph_from_triangle_mask, triangle_mask
 from mismax.extremal import build_turan
+from mismax.graph import triangle_mask
 
 from conftest import cycle_graph, path_graph, random_graph
 
@@ -90,13 +90,6 @@ def test_canonical_form_roundtrip_graph():
     cf = canonical_form(g)
     assert is_isomorphic(cf.to_graph(), g)
     assert canonical_form(cf.to_graph()) == cf
-
-
-def test_triangle_mask_roundtrip():
-    rng = random.Random(3)
-    for _ in range(30):
-        g = random_graph(rng, rng.randint(0, 9), 0.5)
-        assert graph_from_triangle_mask(g.n, triangle_mask(g)) == g
 
 
 def test_order_ceiling():

@@ -210,3 +210,59 @@ def test_output_determinism(capsys, monkeypatch):
         _, out, _ = run(capsys, ["count"], stdin="Bw\nA_\nD??\n", monkeypatch=monkeypatch)
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+def test_verify_stream_order_below_t(capsys, monkeypatch):
+    # f(2,3) = 0: every graph meets the bound, and there is no extremal graph
+    code, out, _ = run(
+        capsys, ["verify", "--input", "-", "--t", "3"], stdin="A_\nA?\n", monkeypatch=monkeypatch
+    )
+    assert code == 0
+    assert out == (
+        "n=2 t=3 f=0 max_observed=0 bound_holds=true unique_attainer=false "
+        "attainers=- graphs_examined=2 coverage=stream(-)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n", "0", "--all-t"],
+        ["bound", "5", "3..1"],
+        ["verify", "--n", "5", "--workers", "0", "--all-t"],
+    ],
+)
+def test_vacuous_runs_rejected(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert "error" in err
+
+
+def test_verify_t_and_all_t_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n", "5", "--t", "2", "--all-t"])
+    assert exc.value.code == 2
+
+
+def test_verify_workers_clamped_to_cpus(capsys, monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, func, jobs):
+            return [func(*job) for job in jobs]
+
+    monkeypatch.setattr("multiprocessing.Pool", SerialPool)
+    monkeypatch.setattr("os.cpu_count", lambda: 3)
+    code, out, _ = run(capsys, ["verify", "--n", "6", "--t", "2", "--workers", "64"])
+    assert code == 0
+    assert sizes == [3]
+    assert "max_observed=9" in out

@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -10,7 +9,6 @@ from mismax import (
     disjoint_union,
     empty_graph,
     enumerate_mis,
-    independent_set_counts,
     maximal_clique_size_profile,
     maximal_independence_polynomial,
     mis_size_profile,
@@ -139,15 +137,6 @@ def test_oracle_kn():
 def test_oracle_rejects_large_order():
     with pytest.raises(ValueError):
         oracle_mis_size_profile(empty_graph(25))
-
-
-def test_independent_set_counts():
-    assert independent_set_counts(complete_graph(3)) == [1, 3, 0, 0]
-    assert independent_set_counts(path_graph(3)) == [1, 3, 1, 0]
-    n = 6
-    assert independent_set_counts(empty_graph(n)) == [math.comb(n, k) for k in range(n + 1)]
-    with pytest.raises(ValueError):
-        independent_set_counts(empty_graph(25))
 
 
 def test_at_least_one_mis_always():

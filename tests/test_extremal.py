@@ -15,7 +15,6 @@ from mismax import (
     empty_graph,
     from_edges,
     induction_split,
-    labeled_graphs,
     maximal_clique_size_profile,
     min_degree,
     mis_size_profile,
@@ -25,6 +24,9 @@ from mismax import (
     verify_bound_exhaustive,
     verify_bound_stream,
 )
+from mismax import extremal
+from mismax.codec import graph6_encode
+from mismax.counting import maximal_clique_counts
 from mismax.extremal import auto_split_vertex
 
 from conftest import graphs, path_graph, random_graph
@@ -148,21 +150,33 @@ def test_split_identities(g, data):
     assert rep.b_count <= rep.gminus_count
 
 
+@pytest.mark.parametrize(
+    "bad_call,identity",
+    [(0, "a_count == nbhd_count"), (1, "b_count <= gminus_count"), (2, "a + b == total")],
+)
+def test_induction_split_names_failed_identity(monkeypatch, bad_call, identity):
+    # the calls count the maximal cliques of G[N(v)], G - v and G, in that order
+    calls = []
+
+    def counts(adj, n):
+        calls.append(n)
+        return [0] * (n + 1) if len(calls) - 1 == bad_call else maximal_clique_counts(adj, n)
+
+    monkeypatch.setattr(extremal, "maximal_clique_counts", counts)
+    g = build_turan(7, 3)
+    with pytest.raises(ValueError) as exc:
+        induction_split(g, 3, 0)
+    message = str(exc.value)
+    assert identity in message
+    assert graph6_encode(g) in message
+    assert "v=0" in message and "t=3" in message
+
+
 def test_proof_subcases():
     assert proof_subcase(complete_graph(7), 3) == "1a"
     assert proof_subcase(build_turan(7, 3), 3) == "1b"
     assert proof_subcase(build_turan(6, 3), 3) == "2b"
     assert proof_subcase(complete_graph(6), 3) == "2a"
-
-
-def test_labeled_graphs_counts():
-    assert sum(1 for _ in labeled_graphs(3)) == 8
-    assert sum(1 for _ in labeled_graphs(4)) == 64
-    assert sum(1 for _ in labeled_graphs(0)) == 1
-    with pytest.raises(ValueError):
-        next(labeled_graphs(8))
-    with pytest.raises(ValueError):
-        next(labeled_graphs(9, allow_n8=True))
 
 
 def test_moon_moser_total():
@@ -234,6 +248,8 @@ def test_verify_stream_empty_rejected():
 def test_verify_rejects_bad_args():
     with pytest.raises(ValueError):
         verify_bound_exhaustive(8)  # needs opt-in
+    with pytest.raises(ValueError):
+        verify_bound_exhaustive(9, allow_n8=True)
     with pytest.raises(ValueError):
         verify_bound_exhaustive(5, ts=[0])
     with pytest.raises(ValueError):

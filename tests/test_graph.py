@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,9 +18,9 @@ from mismax import (
     permute,
 )
 from mismax.extremal import build_turan
-from mismax.graph import bits, set_of
+from mismax.graph import bits, from_triangle_mask, set_of, triangle_mask, triangle_pairs
 
-from conftest import cycle_graph, graphs, path_graph
+from conftest import cycle_graph, graphs, path_graph, random_graph
 
 
 def test_from_edges_path():
@@ -155,3 +157,25 @@ def test_bits_and_set_of():
 def test_zero_vertex_graph_is_legal():
     g = empty_graph(0)
     assert g.n == 0 and g.edges() == []
+
+
+def test_triangle_mask_roundtrip():
+    rng = random.Random(3)
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(0, 9), 0.5)
+        assert from_triangle_mask(g.n, triangle_mask(g)) == g
+
+
+def test_triangle_mask_bit_order():
+    assert triangle_pairs(4) == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
+    # the first pair is the most significant bit, as in graph6
+    assert from_triangle_mask(3, 0b100) == from_edges(3, [(0, 1)])
+    assert from_triangle_mask(3, 0b001) == from_edges(3, [(1, 2)])
+    assert triangle_mask(from_edges(4, [(0, 1), (2, 3)])) == 0b100001
+
+
+def test_from_triangle_mask_rejects_stray_bits():
+    with pytest.raises(ValueError):
+        from_triangle_mask(3, 0b1000)
+    with pytest.raises(ValueError):
+        from_triangle_mask(3, -1)
