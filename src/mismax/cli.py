@@ -114,6 +114,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     started = time.monotonic()
     reports = []
     if args.input is not None:
+        scan_flags = {"--n": args.n, "--workers": args.workers, "--n8-opt-in": args.n8_opt_in}
+        given = [flag for flag, value in scan_flags.items() if value is not None]
+        if given:
+            raise SystemExit2(f"{' and '.join(given)} cannot be combined with --input")
         if args.t is None:
             raise SystemExit2("--t is required with --input")
         graphs = _read_graphs(args.input, "graph6")
@@ -132,8 +136,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 args.n,
                 ts=ts,
                 side=args.side,
-                workers=args.workers,
-                allow_n8=args.n8_opt_in,
+                workers=1 if args.workers is None else args.workers,
+                allow_n8=bool(args.n8_opt_in),
             )
         )
         exhaustive = True
@@ -200,8 +204,14 @@ def build_parser() -> argparse.ArgumentParser:
     which_t.add_argument("--t", type=int, default=None)
     which_t.add_argument("--all-t", action="store_true")
     p.add_argument("--side", choices=["mis", "clique"], default="mis")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--n8-opt-in", action="store_true")
+    # None marks a flag not given, which --input rejects
+    p.add_argument("--workers", type=int, default=None, help="scan processes (default 1)")
+    p.add_argument(
+        "--n8-opt-in",
+        action="store_true",
+        default=None,
+        help="allow --n 8: 2^28 graphs, about 1 min with one worker",
+    )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("trace", help="A/B induction split diagnostics")

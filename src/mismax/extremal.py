@@ -1,11 +1,25 @@
 """Extremal bound f(n,t) = q^(t-r) (q+1)^r, extremal constructions,
-proof-trace diagnostics, and the exhaustive bound verifier."""
+proof-trace diagnostics, and the exhaustive bound verifier.
+
+The exhaustive scan rests on the proof's split of the maximal cliques of G
+around a vertex k with neighbourhood N, where G' = G - k:
+
+- A, the maximal cliques containing k, are the sets {k} + D for the cliques
+  D of G' with D inside N and no common neighbour in N; these D are the
+  maximal cliques of G[N].
+- B, the maximal cliques avoiding k, are the maximal cliques C of G' that
+  are not inside N.
+
+Taking k as the last vertex, one clique enumeration of G' gives the counts
+of all 2^(n-1) graphs that extend G'.
+"""
 
 from __future__ import annotations
 
 import multiprocessing
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from .canon import CanonicalForm, canonical_form
@@ -17,7 +31,7 @@ from .counting import (
     mis_size_profile,
 )
 from .graph import (
-    _rows_from_mask,
+    _extension_rows,
     Graph,
     complete_graph,
     degree,
@@ -250,24 +264,87 @@ def _report(
     )
 
 
-def _scan_masks(n: int, lo: int, hi: int) -> tuple[list[int], dict[int, list[int]]]:
-    """Worker: count the maximal cliques of the labeled graphs with triangle
-    masks in [lo, hi) on n vertices.
+@lru_cache(maxsize=EXHAUSTIVE_HARD_MAX_N)
+def _spread(width: int) -> tuple[int, ...]:
+    """Entry x has a 1 in byte s for every submask s of x, for x below 2^width."""
+    table = [1]
+    for v in range(width):
+        table += [p | p << (8 << v) for p in table]
+    return tuple(table)
 
-    Returns (per-t maximum counts, {t: masks attaining bound_f(n,t)}).
+
+def _extension_counts(n: int, high: int) -> list[bytes]:
+    """Per-size maximal-clique counts of the 2^(n-1) labeled n-vertex graphs G
+    with triangle mask high << (n-1) | nb: byte nb of entry s counts size s.
+
+    G' = G - k for the last vertex k has mask high, and nb is the
+    neighbourhood of k. One depth-first enumeration of the cliques D of G'
+    (empty D included) fills every byte by the split in the module
+    docstring: {k} + D is counted on each nb with D <= nb and nb disjoint
+    from cn(D), the common neighbourhood of D in G'; a maximal clique C of
+    G' (cn(C) empty) is counted on every nb and taken back on the supersets
+    of C. The bytes never carry into each other: for n <= 8 every count and
+    partial sum is at most twice the 12 maximal cliques a graph on 7
+    vertices can have.
     """
+    m = n - 1
+    full = (1 << m) - 1
+    rows = _extension_rows(n, high)
+    spread = _spread(m)
+    grown = [0] * (n + 1)  # cliques {k} + D, one byte per nb
+    lost = [0] * (n + 1)  # maximal cliques of G' inside nb
+    maximal = [0] * (n + 1)
+    # (D, |D|, cn(D), the vertices of cn(D) above every vertex of D)
+    stack = [(0, 0, full, full)]
+    while stack:
+        d, size, cn, up = stack.pop()
+        if cn:
+            grown[size + 1] += spread[full & ~(d | cn)] << 8 * d
+        else:
+            maximal[size] += 1
+            supersets = spread[full & ~d] << 8 * d
+            grown[size + 1] += supersets
+            lost[size] += supersets
+        while up:
+            b = up & -up
+            up ^= b
+            row = rows[b.bit_length() - 1]
+            stack.append((d | b, size + 1, cn & row, up & row))
+    everywhere = spread[full]
+    return [
+        (g + c * everywhere - x).to_bytes(full + 1, "little")
+        for g, c, x in zip(grown, maximal, lost)
+    ]
+
+
+def _scan_blocks(n: int, lo: int, hi: int) -> tuple[list[int], dict[int, list[int]], int]:
+    """Worker: count the maximal cliques of the labeled n-vertex graphs whose
+    first n-1 vertices have triangle mask in [lo, hi), 2^(n-1) graphs per mask.
+
+    Returns (per-t maximum counts, {t: masks attaining bound_f(n,t)} in
+    ascending order, number of graphs scanned).
+    """
+    m = n - 1
     bounds = [0] + [bound_f(n, t).f for t in range(1, n + 1)]
+    at_most = [bytes(range(c + 1)) for c in range(256)]
     max_counts = [0] * (n + 1)
     attainers: dict[int, list[int]] = {t: [] for t in range(1, n + 1)}
-    for mask in range(lo, hi):
-        counts = maximal_clique_counts(_rows_from_mask(n, mask), n)
+    scanned = 0
+    for high in range(lo, hi):
+        counts = _extension_counts(n, high)
+        scanned += len(counts[0])
+        base = high << m
         for t in range(1, n + 1):
-            c = counts[t]
-            if c > max_counts[t]:
-                max_counts[t] = c
-            if c == bounds[t]:
-                attainers[t].append(mask)
-    return max_counts, attainers
+            column = counts[t]
+            # deleting the counts up to the maximum so far leaves the larger ones
+            if column.translate(None, at_most[max_counts[t]]):
+                max_counts[t] = max(column)
+            f = bounds[t]
+            nb = column.find(f)
+            while nb >= 0:
+                attainers[t].append(base | nb)
+                nb = column.find(f, nb + 1)
+    return max_counts, attainers, scanned
 
 
 def verify_bound_exhaustive(
@@ -283,7 +360,8 @@ def verify_bound_exhaustive(
     The scan counts maximal cliques. Complementing is a bijection on labeled
     graphs and turns maximal independent sets into maximal cliques, so the
     per-t maxima are the same on both sides, and the MIS attainers are the
-    complements of the clique attainers.
+    complements of the clique attainers. Raises ValueError if the workers
+    did not scan exactly 2^C(n,2) graphs between them.
     """
     _check_exhaustive_order(n, allow_n8)
     if side not in ("mis", "clique"):
@@ -294,25 +372,31 @@ def verify_bound_exhaustive(
     for t in ts:
         if not 1 <= t <= n:
             raise ValueError(f"t={t} outside 1..{n}")
-    nbits = n * (n - 1) // 2
-    total = 1 << nbits
+    total = 1 << (n * (n - 1) // 2)
+    blocks = 1 << ((n - 1) * (n - 2) // 2)  # masks of the first n-1 vertices
     workers = min(workers, os.cpu_count() or 1)
 
     if workers > 1 and total >= 1 << 12:
-        chunk = (total + workers - 1) // workers
-        jobs = [(n, lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+        chunk = (blocks + workers - 1) // workers
+        jobs = [(n, lo, min(lo + chunk, blocks)) for lo in range(0, blocks, chunk)]
         with multiprocessing.Pool(workers) as pool:
-            parts = pool.starmap(_scan_masks, jobs)
+            parts = pool.starmap(_scan_blocks, jobs)
     else:
-        parts = [_scan_masks(n, 0, total)]
+        parts = [_scan_blocks(n, 0, blocks)]
 
     max_counts = [0] * (n + 1)
     attainer_masks: dict[int, list[int]] = {t: [] for t in range(1, n + 1)}
-    for mc, att in parts:
+    scanned = 0
+    for mc, att, graphs in parts:
         for t in range(n + 1):
             max_counts[t] = max(max_counts[t], mc[t])
         for t, masks in att.items():
             attainer_masks[t].extend(masks)  # parts are in index order
+        scanned += graphs
+    if scanned != total:
+        raise ValueError(
+            f"exhaustive scan covered {scanned} of the {total} labeled graphs on {n} vertices"
+        )
 
     flip = total - 1 if side == "mis" else 0  # XOR with all edges complements
     return [
@@ -322,7 +406,7 @@ def verify_bound_exhaustive(
             side,
             max_counts[t],
             (canonical_form(from_triangle_mask(n, mask ^ flip)) for mask in attainer_masks[t]),
-            total,
+            scanned,
             f"exhaustive-labeled({n})",
         )
         for t in ts

@@ -177,6 +177,24 @@ def _rows_from_mask(n: int, mask: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
+@lru_cache(maxsize=MAX_VERTICES + 1)
+def _reversed_bits(width: int) -> tuple[int, ...]:
+    """Entry x is x with its low `width` bits in reverse order."""
+    return tuple(int(format(x, f"0{width}b")[::-1], 2) for x in range(1 << width))
+
+
+def _extension_rows(n: int, high: int) -> tuple[int, ...]:
+    """Adjacency rows of G - (n-1) for the n-vertex graphs G with triangle mask
+    high << (n-1) | nb, relabeled v -> n-2-v.
+
+    The low n-1 bits nb of such a mask hold the pairs of the last vertex, bit b
+    the pair (n-2-b, n-1). After the relabeling a vertex set of G - (n-1) and
+    the neighbourhood of vertex n-1 are the same kind of mask as nb.
+    """
+    rev = _reversed_bits(n - 1)
+    return tuple(rev[row] for row in reversed(_rows_from_mask(n - 1, high)))
+
+
 def triangle_mask(g: Graph) -> int:
     """Pack the upper triangle in mask order; pair (0,1) is the top bit."""
     mask = 0

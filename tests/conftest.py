@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import strategies as st
 
 from mismax import Graph, from_edges
@@ -30,3 +31,32 @@ def graphs(draw, min_n: int = 0, max_n: int = 8):
     nbits = n * (n - 1) // 2
     mask = draw(st.integers(0, (1 << nbits) - 1))
     return from_triangle_mask(n, mask)
+
+
+class SerialPool:
+    """Stands in for multiprocessing.Pool: runs the jobs in order in-process
+    and records each pool's size and job list."""
+
+    sizes: list[int]
+    jobs: list[tuple]
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def starmap(self, func, jobs):
+        self.jobs.extend(jobs)
+        return [func(*job) for job in jobs]
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Patch multiprocessing.Pool with a fresh SerialPool subclass and return it."""
+    pool = type("RecordingPool", (SerialPool,), {"sizes": [], "jobs": []})
+    monkeypatch.setattr("multiprocessing.Pool", pool)
+    return pool

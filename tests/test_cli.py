@@ -244,25 +244,31 @@ def test_verify_t_and_all_t_exclusive(capsys):
     assert exc.value.code == 2
 
 
-def test_verify_workers_clamped_to_cpus(capsys, monkeypatch):
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def starmap(self, func, jobs):
-            return [func(*job) for job in jobs]
-
-    monkeypatch.setattr("multiprocessing.Pool", SerialPool)
+def test_verify_workers_clamped_to_cpus(capsys, monkeypatch, serial_pool):
     monkeypatch.setattr("os.cpu_count", lambda: 3)
     code, out, _ = run(capsys, ["verify", "--n", "6", "--t", "2", "--workers", "64"])
     assert code == 0
-    assert sizes == [3]
+    assert serial_pool.sizes == [3]
     assert "max_observed=9" in out
+
+
+@pytest.mark.parametrize(
+    "flags,named",
+    [
+        (["--n", "5"], "--n"),
+        (["--workers", "0"], "--workers"),
+        (["--workers", "1"], "--workers"),
+        (["--n8-opt-in"], "--n8-opt-in"),
+        (["--workers", "0", "--n8-opt-in"], "--workers and --n8-opt-in"),
+    ],
+)
+def test_verify_input_rejects_scan_flags(capsys, monkeypatch, flags, named):
+    code, out, err = run(
+        capsys,
+        ["verify", "--input", "-", "--t", "1", *flags],
+        stdin="A_\n",
+        monkeypatch=monkeypatch,
+    )
+    assert code == 2
+    assert out == ""
+    assert f"error: {named} cannot be combined with --input" in err

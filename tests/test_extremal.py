@@ -1,3 +1,4 @@
+import multiprocessing
 import random
 
 import pytest
@@ -28,6 +29,7 @@ from mismax import extremal
 from mismax.codec import graph6_encode
 from mismax.counting import maximal_clique_counts
 from mismax.extremal import auto_split_vertex
+from mismax.graph import _rows_from_mask
 
 from conftest import graphs, path_graph, random_graph
 
@@ -219,10 +221,69 @@ def test_verify_clique_side_agrees():
         assert clq.attainers == (canonical_form(build_turan(5, t)),)
 
 
-def test_verify_workers_deterministic():
-    single = verify_bound_exhaustive(5, workers=1)
-    multi = verify_bound_exhaustive(5, workers=3)
-    assert single == multi
+def test_verify_workers_deterministic(monkeypatch):
+    single = verify_bound_exhaustive(6, workers=1)
+    real_pool = multiprocessing.Pool
+    sizes = []
+
+    def pool(processes):
+        sizes.append(processes)
+        return real_pool(processes)
+
+    monkeypatch.setattr("multiprocessing.Pool", pool)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    assert verify_bound_exhaustive(6, workers=2) == single
+    assert sizes == [2]
+
+
+def test_verify_worker_blocks_tile_the_scan(monkeypatch, serial_pool):
+    monkeypatch.setattr("os.cpu_count", lambda: 3)
+    multi = verify_bound_exhaustive(6, workers=3)
+    assert serial_pool.sizes == [3]
+    # one block per triangle mask of the first 5 vertices: 2^10 blocks
+    ranges = sorted((lo, hi) for n, lo, hi in serial_pool.jobs)
+    assert all(n == 6 for n, _, _ in serial_pool.jobs)
+    assert ranges[0][0] == 0 and ranges[-1][1] == 1 << 10
+    assert all(hi == next_lo for (_, hi), (next_lo, _) in zip(ranges, ranges[1:]))
+    assert all(lo < hi for lo, hi in ranges)
+    assert multi == verify_bound_exhaustive(6, workers=1)
+
+
+def test_verify_rejects_partial_coverage(monkeypatch, serial_pool):
+    class DropLastJob(serial_pool):
+        def starmap(self, func, jobs):
+            return super().starmap(func, jobs[:-1])
+
+    monkeypatch.setattr("multiprocessing.Pool", DropLastJob)
+    monkeypatch.setattr("os.cpu_count", lambda: 3)
+    # the jobs cover blocks [0, 342), [342, 684), [684, 1024) of 32 graphs each
+    with pytest.raises(ValueError, match="covered 21888 of the 32768 labeled graphs"):
+        verify_bound_exhaustive(6, workers=3)
+
+
+def _check_block(n, high):
+    """The block's counts equal a Bron-Kerbosch count of each of its graphs."""
+    counts = extremal._extension_counts(n, high)
+    assert len(counts) == n + 1
+    for nb in range(1 << (n - 1)):
+        mask = high << (n - 1) | nb
+        got = [column[nb] for column in counts]
+        assert got == maximal_clique_counts(_rows_from_mask(n, mask), n), (n, mask)
+
+
+def test_extension_counts_match_bk_every_graph_up_to_6():
+    for n in range(1, 7):
+        for high in range(1 << ((n - 1) * (n - 2) // 2)):
+            _check_block(n, high)
+
+
+@pytest.mark.parametrize("n,samples", [(7, 64), (8, 24)])
+def test_extension_counts_match_bk_sampled_blocks(n, samples):
+    rng = random.Random(f"blocks:{n}")
+    nbits = (n - 1) * (n - 2) // 2
+    highs = [0, (1 << nbits) - 1] + [rng.getrandbits(nbits) for _ in range(samples)]
+    for high in highs:
+        _check_block(n, high)
 
 
 def test_verify_stream():
