@@ -20,9 +20,9 @@ import multiprocessing
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Hashable, Iterable, Sequence
 
-from .canon import CanonicalForm, canonical_form
+from .canon import CANON_MAX_N, CanonicalForm, canonical_form
 from .codec import graph6_encode
 from .counting import (
     _expand,
@@ -32,7 +32,9 @@ from .counting import (
 )
 from .graph import (
     _extension_rows,
+    _rows_from_mask,
     Graph,
+    bits,
     complete_graph,
     degree,
     delete_vertex,
@@ -42,6 +44,7 @@ from .graph import (
     from_triangle_mask,
     induced_subgraph,
     min_degree,
+    triangle_mask,
 )
 
 EXHAUSTIVE_DEFAULT_MAX_N = 7
@@ -221,6 +224,15 @@ def moon_moser_total(n: int) -> int:
 
 @dataclass(frozen=True)
 class ExtremalReport:
+    """One verifier result for (n, t).
+
+    attainers holds one form per isomorphism class attaining f, in
+    first-seen order. Above CANON_MAX_N a form's key is not canonical: the
+    extremal graph is keyed by the triangle mask of build_H/build_turan, and
+    any other attainer by its own triangle mask, which coverage flags with
+    the suffix ",uncanonical".
+    """
+
     n: int
     t: int
     f: int
@@ -232,25 +244,81 @@ class ExtremalReport:
     coverage: str
 
 
+def _is_extremal(rows: Sequence[int], t: int, turan: bool) -> bool:
+    """True if the adjacency rows are H(n,t) up to relabeling, or T(n,t) if
+    turan, in O(n^2) bit operations.
+
+    H(n,t) is t disjoint cliques of q or q+1 vertices, n = q*t + r, and
+    T(n,t) is its complement. The part of v is its closed neighbourhood
+    row | 1 << v in H, and its non-neighbourhood (v included) in T. The rows
+    are the graph iff every member of each part has that same part, there
+    are t parts, and each has q or q+1 vertices; the parts then sum to n, so
+    r of them have q+1.
+    """
+    n = len(rows)
+    full = (1 << n) - 1
+    if turan:
+        part_of = [full & ~row for row in rows]
+    else:
+        part_of = [row | 1 << v for v, row in enumerate(rows)]
+    q = n // t
+    parts = 0
+    seen = 0
+    for v, part in enumerate(part_of):
+        if seen >> v & 1:
+            continue
+        if not q <= part.bit_count() <= q + 1:
+            return False
+        if any(part_of[u] != part for u in bits(part)):
+            return False
+        seen |= part
+        parts += 1
+    return parts == t
+
+
+# stands for every attainer _is_extremal recognizes, until _report forms it
+_EXTREMAL = object()
+
+
+def _attainer_form(g: Graph) -> CanonicalForm:
+    """canonical_form(g), or above CANON_MAX_N the form keyed by g's own
+    triangle mask, which dedupes labeled copies only."""
+    if g.n > CANON_MAX_N:
+        return CanonicalForm(g.n, triangle_mask(g))
+    return canonical_form(g)
+
+
 def _report(
     n: int,
     t: int,
     side: str,
     max_observed: int,
-    forms: Iterable[CanonicalForm],
+    keys: Iterable[Hashable],
     graphs_examined: int,
     coverage: str,
 ) -> ExtremalReport:
-    """Shared tail of both verifiers: dedupe the attainer forms in first-seen
-    order and compare them with the extremal graph of the side."""
+    """Shared tail of both verifiers: dedupe the attainer keys in first-seen
+    order and compare them with the extremal graph of the side.
+
+    A key is _EXTREMAL for an attainer _is_extremal recognized as the
+    side's extremal graph, and the attainer's _attainer_form otherwise. The
+    sentinel is swapped for the form of build_H/build_turan, made once per
+    report, so canonical_form runs only on that graph and on unrecognized
+    attainers. The coverage gains ",uncanonical" if an unrecognized
+    attainer above CANON_MAX_N is reported by its own labeling.
+    """
     f = bound_f(n, t).f
     attainers: tuple[CanonicalForm, ...] = ()
     unique = False
-    # f = 0 means n < t: every graph meets the bound and no extremal graph exists
-    if f:
-        attainers = tuple(dict.fromkeys(forms))
-        expected = build_H(n, t) if side == "mis" else build_turan(n, t)
-        unique = attainers == (canonical_form(expected),)
+    # f = 0 (n < t) records no keys: every graph meets the bound and no
+    # extremal graph exists
+    distinct = dict.fromkeys(keys)
+    if distinct:
+        expected = _attainer_form(build_H(n, t) if side == "mis" else build_turan(n, t))
+        attainers = tuple(expected if key is _EXTREMAL else key for key in distinct)
+        unique = attainers == (expected,)
+        if n > CANON_MAX_N and any(key is not _EXTREMAL for key in distinct):
+            coverage += ",uncanonical"
     return ExtremalReport(
         n=n,
         t=t,
@@ -398,17 +466,19 @@ def verify_bound_exhaustive(
             f"exhaustive scan covered {scanned} of the {total} labeled graphs on {n} vertices"
         )
 
+    # the masks are clique-side attainers: the MIS attainer is the complement,
+    # and either is the side's extremal graph iff the mask is T(n,t)
     flip = total - 1 if side == "mis" else 0  # XOR with all edges complements
+
+    def keys(t: int) -> Iterable[Hashable]:
+        for mask in attainer_masks[t]:
+            if _is_extremal(_rows_from_mask(n, mask), t, turan=True):
+                yield _EXTREMAL
+            else:
+                yield _attainer_form(from_triangle_mask(n, mask ^ flip))
+
     return [
-        _report(
-            n,
-            t,
-            side,
-            max_counts[t],
-            (canonical_form(from_triangle_mask(n, mask ^ flip)) for mask in attainer_masks[t]),
-            scanned,
-            f"exhaustive-labeled({n})",
-        )
+        _report(n, t, side, max_counts[t], keys(t), scanned, f"exhaustive-labeled({n})")
         for t in ts
     ]
 
@@ -422,7 +492,11 @@ def verify_bound_stream(
     """Verify the bound over an externally supplied stream of same-order graphs.
 
     Uniqueness is not certified for streams (coverage is not exhaustive);
-    unique_attainer reflects only the graphs seen.
+    unique_attainer reflects only the graphs seen. Attainers are keyed as
+    they arrive, the recognized extremal graph by one sentinel and any other
+    attainer by its form, and _report dedupes the keys in first-seen order.
+    No order is too large: above CANON_MAX_N the forms are not canonical
+    (see ExtremalReport).
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -431,7 +505,7 @@ def verify_bound_stream(
     n = None
     max_observed = 0
     examined = 0
-    forms: dict[CanonicalForm, None] = {}
+    keys: dict[Hashable, None] = {}
     f = 0
     for g in graphs:
         if n is None:
@@ -448,7 +522,8 @@ def verify_bound_stream(
         if c > max_observed:
             max_observed = c
         if c == f and f:  # f = 0 records no attainers, see _report
-            forms[canonical_form(g)] = None
+            extremal = _is_extremal(g.adj, t, turan=side == "clique")
+            keys[_EXTREMAL if extremal else _attainer_form(g)] = None
     if n is None:
         raise ValueError("empty graph stream")
-    return _report(n, t, side, max_observed, forms, examined, f"stream({source})")
+    return _report(n, t, side, max_observed, keys, examined, f"stream({source})")

@@ -272,3 +272,22 @@ def test_verify_input_rejects_scan_flags(capsys, monkeypatch, flags, named):
     assert code == 2
     assert out == ""
     assert f"error: {named} cannot be combined with --input" in err
+
+
+@pytest.mark.parametrize(
+    "extremal_args,verify_args",
+    [
+        (["12", "3"], ["--t", "3"]),
+        (["12", "4", "--which", "turan"], ["--t", "4", "--side", "clique"]),
+    ],
+)
+def test_verify_stream_above_canon_limit(capsys, monkeypatch, extremal_args, verify_args):
+    # orders above 10 have no canonical labeling; the extremal graph needs none
+    _, graph, _ = run(capsys, ["extremal", *extremal_args])
+    code, out, err = run(
+        capsys, ["verify", "--input", "-", *verify_args], stdin=graph, monkeypatch=monkeypatch
+    )
+    assert code == 0, err
+    assert "bound_holds=true unique_attainer=true" in out
+    assert f" attainers={graph.strip()} " in out
+    assert out.endswith(" coverage=stream(-)\n")

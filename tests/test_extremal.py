@@ -1,11 +1,14 @@
 import multiprocessing
 import random
+from functools import partial
+from itertools import combinations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from mismax import (
+    Graph,
     bound_f,
     build_H,
     build_turan,
@@ -21,6 +24,7 @@ from mismax import (
     mis_size_profile,
     moon_moser_total,
     no_t_clique_condition,
+    permute,
     proof_subcase,
     verify_bound_exhaustive,
     verify_bound_stream,
@@ -29,7 +33,7 @@ from mismax import extremal
 from mismax.codec import graph6_encode
 from mismax.counting import maximal_clique_counts
 from mismax.extremal import auto_split_vertex
-from mismax.graph import _rows_from_mask
+from mismax.graph import _rows_from_mask, from_triangle_mask
 
 from conftest import graphs, path_graph, random_graph
 
@@ -315,3 +319,118 @@ def test_verify_rejects_bad_args():
         verify_bound_exhaustive(5, ts=[0])
     with pytest.raises(ValueError):
         verify_bound_exhaustive(5, side="both")
+
+
+def _expected(n, t, side):
+    return build_H(n, t) if side == "mis" else build_turan(n, t)
+
+
+def _relabeled(rng, g):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return permute(g, perm)
+
+
+def test_is_extremal_agrees_with_canonical_form_up_to_5():
+    for n in range(1, 6):
+        expected = {
+            (t, side): canonical_form(_expected(n, t, side))
+            for t in range(1, n + 1)
+            for side in ("mis", "clique")
+        }
+        for mask in range(1 << (n * (n - 1) // 2)):
+            g = from_triangle_mask(n, mask)
+            form = canonical_form(g)
+            for (t, side), want in expected.items():
+                got = extremal._is_extremal(g.adj, t, turan=side == "clique")
+                assert got == (form == want), (n, mask, t, side)
+
+
+def test_is_extremal_recognizes_relabelings():
+    rng = random.Random("recognize")
+    for n in range(6, 13):
+        for t in range(1, n + 1):
+            for side in ("mis", "clique"):
+                for _ in range(3):
+                    g = _relabeled(rng, _expected(n, t, side))
+                    assert extremal._is_extremal(g.adj, t, turan=side == "clique"), (n, t, side)
+
+
+def test_is_extremal_rejects_one_edge_changes():
+    # toggling a pair whose parts have the same sizes, one part or two, gives
+    # isomorphic graphs; canonical_form confirms one rejection of each kind
+    rng = random.Random("reject")
+    for n in range(6, 11):
+        full = (1 << n) - 1
+        for t in range(1, n + 1):
+            for side in ("mis", "clique"):
+                turan = side == "clique"
+                expected = _expected(n, t, side)
+                want = canonical_form(expected)
+                g = _relabeled(rng, expected)
+                part = [full & ~row if turan else row | 1 << v for v, row in enumerate(g.adj)]
+                confirmed = set()
+                for u, v in combinations(range(n), 2):
+                    rows = list(g.adj)
+                    rows[u] ^= 1 << v
+                    rows[v] ^= 1 << u
+                    assert not extremal._is_extremal(rows, t, turan), (n, t, side, u, v)
+                    sizes = sorted((part[u].bit_count(), part[v].bit_count()))
+                    kind = (*sizes, part[u] == part[v])
+                    if kind not in confirmed:
+                        confirmed.add(kind)
+                        assert canonical_form(Graph(n, tuple(rows))) != want, (n, t, side, u, v)
+
+
+def _attainer_stream():
+    """Seeded random graphs alternating with relabeled H(10,3), the attainers."""
+    rng = random.Random("attainers")
+    return [
+        _relabeled(rng, build_H(10, 3)) if i % 2 else random_graph(rng, 10, 0.2)
+        for i in range(24)
+    ]
+
+
+def _verifier_runs():
+    """Calls that each return a list of reports, every report with attainers."""
+    runs = [
+        partial(verify_bound_exhaustive, n, side=side)
+        for side in ("mis", "clique")
+        for n in range(1, 7)
+    ]
+    return runs + [lambda: [verify_bound_stream(_attainer_stream(), 3)]]
+
+
+def test_canonical_fallback_gives_the_same_reports(monkeypatch):
+    default = [run() for run in _verifier_runs()]
+    monkeypatch.setattr(extremal, "_is_extremal", lambda rows, t, turan: False)
+    assert [run() for run in _verifier_runs()] == default
+
+
+def test_canonical_form_runs_once_per_report(monkeypatch):
+    calls = []
+
+    def spy(g):
+        calls.append(g.n)
+        return canonical_form(g)
+
+    monkeypatch.setattr(extremal, "canonical_form", spy)
+    for run in _verifier_runs():
+        calls.clear()
+        reports = run()
+        assert len(calls) == len(reports)
+        assert all(r.unique_attainer for r in reports)
+
+
+def test_stream_above_canon_max_n(monkeypatch):
+    rng = random.Random("n12")
+    stream = [_relabeled(rng, build_H(12, 3)) for _ in range(4)]
+    report = verify_bound_stream(stream, 3, source="h12")
+    assert report.unique_attainer and report.coverage == "stream(h12)"
+    assert [a.to_graph() for a in report.attainers] == [build_H(12, 3)]
+    # an unrecognized attainer keeps its own labeling, and coverage says so
+    monkeypatch.setattr(extremal, "_is_extremal", lambda rows, t, turan: False)
+    report = verify_bound_stream(stream + stream[:1], 3, source="h12")
+    assert not report.unique_attainer and report.bound_holds
+    assert report.coverage == "stream(h12),uncanonical"
+    assert [a.to_graph() for a in report.attainers] == stream
