@@ -41,13 +41,14 @@ def canonical_form(g: Graph) -> CanonicalForm:
         # swapping u and v is an automorphism
         return (adj[u] & ~(1 << v)) == (adj[v] & ~(1 << u))
 
-    best: list[int] | None = None
+    # column 0 is always 0, so the first leaf reached is below this bound
+    best = [1]
     placed = [0] * n  # placed[k] = original vertex at canonical position k
 
     def search(depth: int, cols: list[int], used: int) -> None:
         nonlocal best
         if depth == n:
-            if best is None or cols < best:
+            if cols < best:
                 best = cols.copy()
             return
         tried: list[int] = []
@@ -63,19 +64,17 @@ def canonical_form(g: Graph) -> CanonicalForm:
             row = adj[v]
             for k in range(depth):
                 col = col << 1 | (row >> placed[k] & 1)
-            if best is not None:
-                cols.append(col)
-                worse = cols > best[: depth + 1]
-                cols.pop()
-                if worse:
-                    continue
+            cols.append(col)
+            worse = cols > best[: depth + 1]
+            cols.pop()
+            if worse:
+                continue
             placed[depth] = v
             cols.append(col)
             search(depth + 1, cols, used | 1 << v)
             cols.pop()
 
     search(0, [], 0)
-    assert best is not None
     key = 0
     for depth, col in enumerate(best):
         key = key << depth | col

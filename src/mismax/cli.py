@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .canon import CanonicalForm
 from .codec import CodecError, graph6_encode, read_edge_list, read_graph6_stream, write_edge_list
-from .counting import mis_size_profile, polynomial_string
+from .counting import SizeProfile, mis_size_profile, polynomial_string
 from .extremal import (
     AUTO,
     bound_f,
@@ -56,22 +57,30 @@ def _parse_t_spec(spec: str) -> list[int]:
     return [int(spec)]
 
 
+@lru_cache(maxsize=4096)
+def _count_fields(counts: tuple[int, ...], csv: bool) -> str:
+    """The fields of a count line after n. Streams repeat few distinct
+    profiles, so each is formatted once; the cap bounds the memory."""
+    profile = SizeProfile(len(counts) - 1, counts)
+    coeffs = profile.coefficients()
+    counts_str = ",".join(str(c) for c in coeffs)
+    poly = polynomial_string(coeffs)
+    if csv:
+        return f'"{counts_str}",{profile.total()},{poly}'
+    return f"counts={counts_str} total={profile.total()} poly={poly}"
+
+
 def cmd_count(args: argparse.Namespace) -> int:
     out = sys.stdout
-    if args.csv:
+    csv = args.csv
+    if csv:
         out.write("index,n,counts,total,poly\n")
     for index, g in enumerate(_read_graphs(args.input, args.format)):
-        profile = mis_size_profile(g)
-        coeffs = profile.coefficients()
-        counts_str = ",".join(str(c) for c in coeffs)
-        poly = polynomial_string(coeffs)
-        if args.csv:
-            out.write(f'{index},{g.n},"{counts_str}",{profile.total()},{poly}\n')
+        fields = _count_fields(mis_size_profile(g).counts, csv)
+        if csv:
+            out.write(f"{index},{g.n},{fields}\n")
         else:
-            out.write(
-                f"graph={index} n={g.n} counts={counts_str} "
-                f"total={profile.total()} poly={poly}\n"
-            )
+            out.write(f"graph={index} n={g.n} {fields}\n")
     return 0
 
 

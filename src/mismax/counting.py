@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .graph import Graph, bits, complement
+from .graph import Graph, _complement_rows, bits
 
 ORACLE_MAX_N = 24
 
@@ -87,7 +87,6 @@ def enumerate_mis(g: Graph, visit: Callable[[int], None]) -> int:
     Returns the number visited. The order is the deterministic pivot order
     of the clique enumeration on the complement.
     """
-    co = complement(g)
     seen = 0
 
     def inner(rmask: int, _rsize: int) -> None:
@@ -95,14 +94,13 @@ def enumerate_mis(g: Graph, visit: Callable[[int], None]) -> int:
         seen += 1
         visit(rmask)
 
-    _expand(co.adj, inner, 0, 0, g.full_set, 0)
+    _expand(_complement_rows(g), inner, 0, 0, g.full_set, 0)
     return seen
 
 
 def mis_size_profile(g: Graph) -> SizeProfile:
     """Size profile of maximal independent sets, via clique enumeration on the complement."""
-    co = complement(g)
-    return SizeProfile(g.n, tuple(maximal_clique_counts(co.adj, g.n)))
+    return SizeProfile(g.n, tuple(maximal_clique_counts(_complement_rows(g), g.n)))
 
 
 def maximal_clique_size_profile(g: Graph) -> SizeProfile:

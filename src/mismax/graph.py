@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import lshift, xor
 from typing import Iterable, Iterator
 
 MAX_VERTICES = 64
@@ -50,6 +51,12 @@ class Graph:
             raise ValueError(f"vertex count {self.n} outside 0..{MAX_VERTICES}")
         if len(self.adj) != self.n:
             raise ValueError("adjacency row count does not match n")
+        # the row walk only names the first offender of a matrix that fails
+        if self.n and not _is_valid_matrix(self.n, self.adj):
+            self._check_rows()
+
+    def _check_rows(self) -> None:
+        """Row by row check that raises on the first offending row."""
         full = (1 << self.n) - 1
         for v, row in enumerate(self.adj):
             if row & ~full:
@@ -91,9 +98,51 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(rows))
 
 
+@lru_cache(maxsize=MAX_VERTICES + 1)
+def _matrix_masks(n: int) -> tuple[tuple[int, ...], int, int, tuple[tuple[int, int], ...]]:
+    """Masks over the n-vertex matrix packed as sum(adj[v] << v*n), entry (v, u)
+    at bit v*n + u: the row shifts, the diagonal, the lower triangle, and for
+    each d = 1..n-1 the upper diagonal u = v + d with the shift d*(n-1) that
+    moves each of its entries onto the mirror entry (u, v)."""
+    shifts = tuple(v * n for v in range(n))
+    diag = sum(1 << v * (n + 1) for v in range(n))
+    lower = sum(((1 << v) - 1) << v * n for v in range(n))
+    uppers = tuple(
+        (sum(1 << v * (n + 1) + d for v in range(n - d)), d * (n - 1)) for d in range(1, n)
+    )
+    return shifts, diag, lower, uppers
+
+
+def _is_valid_matrix(n: int, adj: tuple[int, ...]) -> bool:
+    """True iff the rows (n >= 1 of them) are in range, loop-free and symmetric,
+    checked on the whole packed matrix at once."""
+    if min(adj) < 0 or max(adj) >> n:
+        return False
+    shifts, diag, lower, uppers = _matrix_masks(n)
+    # rows are in range, so the shifted rows do not overlap and sum is bitwise or
+    m = sum(map(lshift, adj, shifts))
+    if m & diag:
+        return False
+    mirror = 0
+    for upper, shift in uppers:
+        mirror |= (m & upper) << shift
+    return mirror == m & lower
+
+
+@lru_cache(maxsize=MAX_VERTICES + 1)
+def _complete_rows(n: int) -> tuple[int, ...]:
+    full = (1 << n) - 1
+    return tuple(full & ~(1 << v) for v in range(n))
+
+
+def _complement_rows(g: Graph) -> tuple[int, ...]:
+    """Adjacency rows of the complement; a valid row has no bit v and none >= n,
+    so xor with the row of K_n complements it."""
+    return tuple(map(xor, g.adj, _complete_rows(g.n)))
+
+
 def complement(g: Graph) -> Graph:
-    full = g.full_set
-    return Graph(g.n, tuple((full & ~row) & ~(1 << v) for v, row in enumerate(g.adj)))
+    return Graph(g.n, _complement_rows(g))
 
 
 def induced_subgraph(g: Graph, vertices: int) -> Graph:
@@ -145,8 +194,7 @@ def permute(g: Graph, perm: list[int] | tuple[int, ...]) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
-    full = (1 << n) - 1
-    return Graph(n, tuple(full & ~(1 << v) for v in range(n)))
+    return Graph(n, _complete_rows(n))
 
 
 def empty_graph(n: int) -> Graph:

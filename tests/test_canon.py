@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
+import mismax
 from mismax import (
     canonical_form,
     complement,
@@ -10,6 +15,7 @@ from mismax import (
     count_isomorphism_classes,
     disjoint_union,
     empty_graph,
+    from_edges,
     is_isomorphic,
     permute,
 )
@@ -115,3 +121,29 @@ def test_symmetric_graphs_fast_paths():
     assert canonical_form(full).key == (1 << 45) - 1
     h = disjoint_union(complete_graph(5), complete_graph(5))
     assert canonical_form(h) == canonical_form(permute(h, [9, 8, 7, 6, 5, 4, 3, 2, 1, 0]))
+
+
+OPTIMIZED_CHECKS = """
+import sys
+from mismax import Graph, canonical_form, from_edges
+try:
+    Graph(2, (0b10, 0b00))
+    print("accepted")
+except ValueError as exc:
+    print(exc)
+print(sys.flags.optimize, canonical_form(from_edges(5, EDGES)).key)
+"""
+
+
+def test_checks_survive_python_O():
+    # python -O strips assert statements; the library's checks must not be asserts
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2)]
+    src = str(Path(mismax.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = OPTIMIZED_CHECKS.replace("EDGES", repr(edges))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    key = brute_force_min_mask(from_edges(5, edges))
+    assert result.stdout.splitlines() == ["asymmetric adjacency between 1 and 0", f"1 {key}"]

@@ -1,8 +1,13 @@
 import io
+import random
 
 import pytest
 
-from mismax.cli import main
+from mismax import graph6_decode, graph6_encode, mis_size_profile
+from mismax.cli import _count_fields, main
+from mismax.counting import polynomial_string
+
+from conftest import random_graph
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -50,6 +55,42 @@ def test_count_csv(capsys, monkeypatch):
     lines = out.splitlines()
     assert lines[0] == "index,n,counts,total,poly"
     assert lines[1] == '0,3,"0,3",3,3x'
+
+
+def count_stream():
+    """Seeded 9-vertex graphs, each twice so that profiles repeat, then n = 0 and n = 1."""
+    rng = random.Random(9)
+    lines = [graph6_encode(random_graph(rng, 9, (0.2, 0.5, 0.8)[i % 3])) for i in range(150)]
+    return lines + lines[::-1] + ["?", "@"]
+
+
+@pytest.mark.parametrize("csv", [False, True])
+def test_count_lines_match_profiles(capsys, monkeypatch, csv):
+    lines = count_stream()
+    expected = ["index,n,counts,total,poly"] if csv else []
+    profiles = set()
+    for index, line in enumerate(lines):
+        profile = mis_size_profile(graph6_decode(line))
+        profiles.add(profile)
+        coeffs = profile.coefficients()
+        counts, total, poly = ",".join(map(str, coeffs)), sum(coeffs), polynomial_string(coeffs)
+        if csv:
+            expected.append(f'{index},{profile.n},"{counts}",{total},{poly}')
+        else:
+            expected.append(f"graph={index} n={profile.n} counts={counts} total={total} poly={poly}")
+    assert len(profiles) < len(lines)
+    argv = ["count", "--csv"] if csv else ["count"]
+    stdin = "\n".join(lines) + "\n"
+    code, out, _ = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+    assert code == 0
+    assert out.splitlines() == expected
+    _count_fields.cache_clear()
+    code, again, _ = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+    assert code == 0 and again == out
+
+
+def test_count_format_cache_is_bounded():
+    assert _count_fields.cache_info().maxsize is not None
 
 
 def test_bound_table(capsys):

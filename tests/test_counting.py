@@ -5,6 +5,7 @@ from hypothesis import given
 
 from mismax import (
     complement,
+    graph6_decode,
     complete_graph,
     disjoint_union,
     empty_graph,
@@ -37,6 +38,32 @@ def test_enumerate_p4():
 
 def test_enumerate_empty_graph():
     assert mis_sets(empty_graph(4)) == [[0, 1, 2, 3]]
+
+
+@pytest.mark.parametrize(
+    "g6, order",
+    [
+        # C6
+        ("EhEG", [0b10101, 0b1001, 0b101010, 0b10010, 0b100100]),
+        # H(7,3) = K2 + K2 + K3
+        (
+            "F`?GW",
+            [
+                0b10101, 0b100101, 0b1000101, 0b11001, 0b101001, 0b1001001,
+                0b10110, 0b100110, 0b1000110, 0b11010, 0b101010, 0b1001010,
+            ],
+        ),
+        # seeded random 8-vertex graph
+        (
+            "GtyQi?",
+            [0b100110, 0b1010, 0b11000001, 0b10100100, 0b11000100, 0b10011000, 0b10110000, 0b11010000],
+        ),
+    ],
+)
+def test_enumerate_visit_order_pinned(g6, order):
+    visited = []
+    assert enumerate_mis(graph6_decode(g6), visited.append) == len(order)
+    assert visited == order
 
 
 def test_enumerate_returns_count():
@@ -111,6 +138,8 @@ def test_oracle_equivalence(g):
 
 @given(graphs(max_n=8))
 def test_duality(g):
+    co_rows = tuple(g.full_set & ~row & ~(1 << v) for v, row in enumerate(g.adj))
+    assert complement(g).adj == co_rows
     assert mis_size_profile(g) == maximal_clique_size_profile(complement(g))
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -179,3 +180,66 @@ def test_from_triangle_mask_rejects_stray_bits():
         from_triangle_mask(3, 0b1000)
     with pytest.raises(ValueError):
         from_triangle_mask(3, -1)
+
+
+def rows_are_valid(n, rows):
+    """Per-bit reference for the Graph invariants."""
+    for v, row in enumerate(rows):
+        if row < 0 or row >> n:
+            return False
+        for u in range(n):
+            if row >> u & 1 and (u == v or not rows[u] >> v & 1):
+                return False
+    return True
+
+
+def test_validator_matches_per_bit_reference():
+    # every row tuple with n <= 4, with a negative row and a bit >= n for n <= 3
+    for n in range(5):
+        values = range(1 << n) if n == 4 else range(-1, 1 << (n + 1))
+        for rows in itertools.product(values, repeat=n):
+            try:
+                Graph(n, rows)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == rows_are_valid(n, rows), (n, rows)
+
+
+@pytest.mark.parametrize("n", [9, 10, 33, 62, 64])
+def test_validator_rejects_every_single_bit_flip(n):
+    rng = random.Random(n)
+    for p in (0.5, 0.9):
+        g = random_graph(rng, n, p)
+        assert Graph(n, g.adj) == g
+    # average degree 3, so the row walk that names the offender stays short
+    rows = list(random_graph(rng, n, 3 / n).adj)
+    assert Graph(n, tuple(rows)).adj == tuple(rows)
+    for v in range(n):
+        for u in range(n + 1):  # bit n is out of range
+            rows[v] ^= 1 << u
+            with pytest.raises(ValueError):
+                Graph(n, tuple(rows))
+            rows[v] ^= 1 << u
+
+
+@pytest.mark.parametrize(
+    "n, rows, message",
+    [
+        (3, (0b010, -1, 0b000), "adjacency row 1 has bits >= n"),
+        (3, (0b010, 0b1001, 0b000), "adjacency row 1 has bits >= n"),
+        (3, (0b000, 0b010, 0b000), "loop at vertex 1"),
+        (64, (1 << 63,) + (0,) * 63, "asymmetric adjacency between 63 and 0"),
+        (64, (0,) * 63 + (1,), "asymmetric adjacency between 0 and 63"),
+    ],
+)
+def test_invalid_graph_messages(n, rows, message):
+    with pytest.raises(ValueError) as exc:
+        Graph(n, rows)
+    assert str(exc.value) == message
+
+
+def test_largest_graphs_construct():
+    assert complete_graph(64).edge_count() == 64 * 63 // 2
+    assert empty_graph(64).edge_count() == 0
+    assert complement(complete_graph(64)) == empty_graph(64)
