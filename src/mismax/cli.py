@@ -85,10 +85,10 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    ts = _parse_t_spec(args.t)
+    # every row is computed before the header, so a bad n or t prints nothing
+    rows = [bound_f(args.n, t) for t in _parse_t_spec(args.t)]
     sys.stdout.write("n,t,q,r,f\n")
-    for t in ts:
-        d = bound_f(args.n, t)
+    for d in rows:
         sys.stdout.write(f"{d.n},{d.t},{d.q},{d.r},{d.f}\n")
     return 0
 

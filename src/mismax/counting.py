@@ -1,16 +1,19 @@
 """Counting and enumeration of maximal independent sets by size.
 
-The production path runs pivoted maximal-clique enumeration on the
-complement graph; a 2^n subset-scan oracle provides an independent
-cross-check for small orders.
+Maximal independent sets are counted as the maximal cliques of the
+complement graph. Up to _TABLE_MAX_N vertices the counter scans all 2^n
+vertex sets at once, one bit per set in a big-int bitset; above it, and to
+enumerate the sets one by one, it runs pivoted Bron-Kerbosch. A per-subset
+oracle provides an independent cross-check for small orders.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
-from .graph import Graph, _complement_rows, bits
+from .graph import _TABLE_MAX_N, Graph, _complement_rows, bits
 
 ORACLE_MAX_N = 24
 
@@ -70,8 +73,49 @@ def _expand(adj: tuple[int, ...], visit, rmask: int, rsize: int, p: int, x: int)
         cand &= cand - 1
 
 
+def _submasks(width: int, stride: int) -> tuple[int, ...]:
+    """Entry x has a 1 at bit stride*s for every submask s of x, for x below 2^width."""
+    table = [1]
+    for v in range(width):
+        shift = stride << v
+        table += [p | p << shift for p in table]
+    return tuple(table)
+
+
+@lru_cache(maxsize=_TABLE_MAX_N + 1)
+def _subset_tables(n: int) -> tuple[tuple[int, ...], ...]:
+    """Bitsets over the 2^n vertex sets of order n, bit S for the set S: the
+    submasks of each x, the sets that contain each vertex v, then the bits
+    1 << v, then the sets of each size k = 0..n."""
+    sub = _submasks(n, 1)
+    full = (1 << n) - 1
+    vbits = tuple(1 << v for v in range(n))
+    member = tuple(sub[full] ^ sub[full ^ b] for b in vbits)
+    layer = [1]
+    for b in vbits:
+        layer = [p | q << b for p, q in zip(layer + [0], [0] + layer)]
+    return sub, member, vbits, tuple(layer)
+
+
+def _subset_counts(adj: tuple[int, ...], n: int) -> list[int]:
+    """Per-size maximal-clique counts by one scan over all 2^n vertex sets.
+
+    S is a maximal clique iff, for every vertex v, v is in S exactly when S
+    lies inside the closed neighbourhood N[v]: a member of a clique sees the
+    rest of it, and a vertex outside that sees all of S could be added.
+    """
+    sub, member, vbits, layer = _subset_tables(n)
+    bad = 0
+    for row, b, sets in zip(adj, vbits, member):
+        bad |= sets ^ sub[row | b]
+    kept = sub[-1] & ~bad
+    return [(kept & sets).bit_count() for sets in layer]
+
+
 def maximal_clique_counts(adj: tuple[int, ...], n: int) -> list[int]:
     """Per-size maximal-clique counts for a bitmask adjacency, as a list of n+1 ints."""
+    if n <= _TABLE_MAX_N:
+        return _subset_counts(adj, n)
     counts = [0] * (n + 1)
 
     def visit(_rmask: int, rsize: int) -> None:

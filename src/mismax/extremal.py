@@ -26,6 +26,7 @@ from .canon import CANON_MAX_N, CanonicalForm, canonical_form
 from .codec import graph6_encode
 from .counting import (
     _expand,
+    _submasks,
     maximal_clique_counts,
     maximal_clique_size_profile,
     mis_size_profile,
@@ -335,10 +336,7 @@ def _report(
 @lru_cache(maxsize=EXHAUSTIVE_HARD_MAX_N)
 def _spread(width: int) -> tuple[int, ...]:
     """Entry x has a 1 in byte s for every submask s of x, for x below 2^width."""
-    table = [1]
-    for v in range(width):
-        table += [p | p << (8 << v) for p in table]
-    return tuple(table)
+    return _submasks(width, 8)
 
 
 def _extension_counts(n: int, high: int) -> list[bytes]:

@@ -120,6 +120,15 @@ def test_bound_rejects_t0(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["bound", "-1", "2"], "n must be >= 0"), (["bound", "5", "0"], "t must be >= 1")],
+)
+def test_bound_errors_print_no_header(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_extremal_graph6(capsys):
     code, out, _ = run(capsys, ["extremal", "6", "2", "--which", "H"])
     assert code == 0

@@ -15,9 +15,15 @@ from mismax import (
     mis_size_profile,
     oracle_mis_size_profile,
 )
-from mismax.counting import is_independent, is_maximal_independent, polynomial_string
+from mismax.counting import (
+    _expand,
+    is_independent,
+    is_maximal_independent,
+    maximal_clique_counts,
+    polynomial_string,
+)
 from mismax.extremal import build_turan
-from mismax.graph import bits
+from mismax.graph import _complement_rows, bits, from_triangle_mask
 
 from conftest import cycle_graph, graphs, path_graph, random_graph
 
@@ -173,3 +179,41 @@ def test_at_least_one_mis_always():
     for _ in range(50):
         g = random_graph(rng, rng.randint(0, 12), 0.5)
         assert mis_size_profile(g).total() >= 1
+
+
+def bk_counts(adj, n):
+    """Per-size maximal-clique counts by pivoted Bron-Kerbosch."""
+    counts = [0] * (n + 1)
+
+    def visit(_rmask, rsize):
+        counts[rsize] += 1
+
+    _expand(adj, visit, 0, 0, (1 << n) - 1, 0)
+    return counts
+
+
+def test_subset_kernel_matches_bk_every_graph_up_to_6():
+    # every labeled graph is the complement of one, so this covers both sides
+    for n in range(7):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            adj = from_triangle_mask(n, mask).adj
+            assert maximal_clique_counts(adj, n) == bk_counts(adj, n), (n, mask)
+
+
+@pytest.mark.parametrize("n", range(7, 15))
+def test_counts_match_bk_on_both_sides(n):
+    # crosses the order 12 / 13 boundary between the subset scan and BK
+    rng = random.Random(700 + n)
+    for p in (0.2, 0.5, 0.8):
+        for _ in range(10):
+            g = random_graph(rng, n, p)
+            assert list(maximal_clique_size_profile(g).counts) == bk_counts(g.adj, n)
+            assert list(mis_size_profile(g).counts) == bk_counts(_complement_rows(g), n)
+
+
+@pytest.mark.parametrize("n", [0, 1, 12, 13])
+def test_profile_matches_oracle_at_the_edges(n):
+    rng = random.Random(1300 + n)
+    for p in (0.2, 0.5, 0.8):
+        g = random_graph(rng, n, p)
+        assert mis_size_profile(g) == oracle_mis_size_profile(g)

@@ -15,11 +15,21 @@ from mismax import (
     empty_graph,
     from_edges,
     induced_subgraph,
+    maximal_clique_size_profile,
     min_degree,
+    mis_size_profile,
     permute,
 )
+from mismax import counting, graph
 from mismax.extremal import build_turan
-from mismax.graph import bits, from_triangle_mask, set_of, triangle_mask, triangle_pairs
+from mismax.graph import (
+    _rows_from_mask,
+    bits,
+    from_triangle_mask,
+    set_of,
+    triangle_mask,
+    triangle_pairs,
+)
 
 from conftest import cycle_graph, graphs, path_graph, random_graph
 
@@ -243,3 +253,53 @@ def test_largest_graphs_construct():
     assert complete_graph(64).edge_count() == 64 * 63 // 2
     assert empty_graph(64).edge_count() == 0
     assert complement(complete_graph(64)) == empty_graph(64)
+
+
+def rows_by_bit_walk(n, mask):
+    """Reference decode: pair p of triangle_pairs(n) sits at mask bit C(n,2)-1-p."""
+    pairs = triangle_pairs(n)
+    rows = [0] * n
+    for p, (i, j) in enumerate(pairs):
+        if mask >> (len(pairs) - 1 - p) & 1:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return tuple(rows)
+
+
+def test_rows_from_mask_every_mask_up_to_5():
+    for n in range(6):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            assert _rows_from_mask(n, mask) == rows_by_bit_walk(n, mask), (n, mask)
+
+
+@pytest.mark.parametrize("n", [*range(6, 17), 62])
+def test_rows_from_mask_seeded(n):
+    rng = random.Random(600 + n)
+    nbits = n * (n - 1) // 2
+    masks = [0, (1 << nbits) - 1]
+    for _ in range(30):
+        a, b = rng.getrandbits(nbits), rng.getrandbits(nbits)
+        masks += [a, a & b, a | b]
+    for mask in masks:
+        assert _rows_from_mask(n, mask) == rows_by_bit_walk(n, mask), (n, mask)
+
+
+@pytest.mark.parametrize("n", [12, 13, 40])
+def test_lookup_tables_only_up_to_order_12(n):
+    # a table above order 12 is never built: at n = 40 it would need 2^40 bits
+    caches = (graph._byte_tables, counting._subset_tables)
+
+    def state():
+        infos = [c.cache_info() for c in caches]
+        return [(info.currsize, info.hits + info.misses) for info in infos]
+
+    g = random_graph(random.Random(n), n, 0.5)
+    before = state()
+    assert from_triangle_mask(n, triangle_mask(g)) == g
+    assert mis_size_profile(g).total() == maximal_clique_size_profile(complement(g)).total()
+    after = state()
+    for (size0, calls0), (size1, calls1) in zip(before, after):
+        if n <= 12:
+            assert calls1 > calls0
+        else:
+            assert (size1, calls1) == (size0, calls0)
