@@ -27,7 +27,6 @@ from .extremal import (
     build_turan,
     induction_split,
     moon_moser_total,
-    no_t_clique_condition,
     proof_subcase,
     verify_bound_exhaustive,
     verify_bound_stream,
@@ -77,7 +76,6 @@ __all__ = [
     "min_degree",
     "mis_size_profile",
     "moon_moser_total",
-    "no_t_clique_condition",
     "oracle_mis_size_profile",
     "permute",
     "proof_subcase",

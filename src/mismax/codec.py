@@ -2,12 +2,23 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+from operator import getitem
 from typing import Iterable, Iterator
 
-from .graph import Graph, from_edges, from_triangle_mask, triangle_mask
+from .graph import (
+    _TABLE_MAX_N,
+    Graph,
+    _matrix_rows,
+    _pair_table,
+    from_edges,
+    from_triangle_mask,
+    triangle_mask,
+)
 
 GRAPH6_HEADER = ">>graph6<<"
 GRAPH6_MAX_N = 62
+_GRAPH6_CHARS = bytes(range(63, 127))
 
 
 class CodecError(ValueError):
@@ -27,10 +38,14 @@ def graph6_decode(line: str) -> Graph:
         s = s[len(GRAPH6_HEADER):]
     if not s:
         raise CodecError("empty graph6 string")
-    for ch in s:
-        if not 63 <= ord(ch) <= 126:
-            raise CodecError(f"character {ch!r} outside graph6 range 63..126")
-    first = ord(s[0]) - 63
+    raw = s.encode("ascii") if s.isascii() else None
+    # a character outside 63..126 is what the loop finds and names; a
+    # non-ASCII one is above 126, so raw is set past this check
+    if raw is None or raw.translate(None, _GRAPH6_CHARS):
+        for ch in s:
+            if not 63 <= ord(ch) <= 126:
+                raise CodecError(f"character {ch!r} outside graph6 range 63..126")
+    first = raw[0] - 63
     if first == 63:
         raise CodecError("long-form graph6 (n > 62) not supported")
     n = first
@@ -42,13 +57,31 @@ def graph6_decode(line: str) -> Graph:
         raise CodecError(
             f"graph6 string length {len(s)} wrong for n={n} (expected {1 + nbytes})"
         )
+    pad = 6 * nbytes - nbits
+    if n <= _TABLE_MAX_N:
+        if (raw[-1] - 63) & ((1 << pad) - 1):
+            raise CodecError("nonzero padding bits in graph6 string")
+        # the tables of distinct characters set distinct pairs, so sum is bitwise or
+        return Graph(n, _matrix_rows(n, sum(map(getitem, _char_tables(n), raw[1:]))))
     bitstream = 0
     for ch in s[1:]:
         bitstream = bitstream << 6 | (ord(ch) - 63)
-    pad = 6 * nbytes - nbits
     if bitstream & ((1 << pad) - 1):
         raise CodecError("nonzero padding bits in graph6 string")
     return from_triangle_mask(n, bitstream >> pad)
+
+
+@lru_cache(maxsize=_TABLE_MAX_N + 1)
+def _char_tables(n: int) -> tuple[tuple[int, ...], ...]:
+    """Per data character of an n-vertex graph6 string, the packed matrix of
+    the pairs its 6 bits set, indexed by the character's code 63..126; the
+    pad low bits of the last character belong to no pair."""
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    pad = 6 * nbytes - nbits
+    return tuple(
+        (0,) * 63 + _pair_table(n, 6 * k - pad, 6) for k in reversed(range(nbytes))
+    )
 
 
 def graph6_encode(g: Graph) -> str:

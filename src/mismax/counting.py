@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import Callable
 
 from .graph import _TABLE_MAX_N, Graph, _complement_rows, bits
@@ -97,17 +98,21 @@ def _subset_tables(n: int) -> tuple[tuple[int, ...], ...]:
     return sub, member, vbits, tuple(layer)
 
 
-def _subset_counts(adj: tuple[int, ...], n: int) -> list[int]:
-    """Per-size maximal-clique counts by one scan over all 2^n vertex sets.
+def _subset_counts(adj: tuple[int, ...], n: int, complement: bool) -> list[int]:
+    """Per-size maximal-clique counts of the graph, or of its complement, by
+    one scan over all 2^n vertex sets.
 
     S is a maximal clique iff, for every vertex v, v is in S exactly when S
     lies inside the closed neighbourhood N[v]: a member of a clique sees the
-    rest of it, and a vertex outside that sees all of S could be added.
+    rest of it, and a vertex outside that sees all of S could be added. A
+    loop-free row has no bit v, so N[v] is row ^ (1 << v), and in the
+    complement, where N[v] is v and its non-neighbours, row ^ full.
     """
     sub, member, vbits, layer = _subset_tables(n)
+    flips = repeat(len(sub) - 1) if complement else vbits
     bad = 0
-    for row, b, sets in zip(adj, vbits, member):
-        bad |= sets ^ sub[row | b]
+    for row, flip, sets in zip(adj, flips, member):
+        bad |= sets ^ sub[row ^ flip]
     kept = sub[-1] & ~bad
     return [(kept & sets).bit_count() for sets in layer]
 
@@ -115,7 +120,7 @@ def _subset_counts(adj: tuple[int, ...], n: int) -> list[int]:
 def maximal_clique_counts(adj: tuple[int, ...], n: int) -> list[int]:
     """Per-size maximal-clique counts for a bitmask adjacency, as a list of n+1 ints."""
     if n <= _TABLE_MAX_N:
-        return _subset_counts(adj, n)
+        return _subset_counts(adj, n, False)
     counts = [0] * (n + 1)
 
     def visit(_rmask: int, rsize: int) -> None:
@@ -144,7 +149,10 @@ def enumerate_mis(g: Graph, visit: Callable[[int], None]) -> int:
 
 def mis_size_profile(g: Graph) -> SizeProfile:
     """Size profile of maximal independent sets, via clique enumeration on the complement."""
-    return SizeProfile(g.n, tuple(maximal_clique_counts(_complement_rows(g), g.n)))
+    n = g.n
+    if n <= _TABLE_MAX_N:
+        return SizeProfile(n, tuple(_subset_counts(g.adj, n, True)))
+    return SizeProfile(n, tuple(maximal_clique_counts(_complement_rows(g), n)))
 
 
 def maximal_clique_size_profile(g: Graph) -> SizeProfile:

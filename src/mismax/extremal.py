@@ -16,7 +16,6 @@ of all 2^(n-1) graphs that extend G'.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -110,20 +109,6 @@ def build_turan(n: int, k: int) -> Graph:
         if part_of[u] != part_of[v]
     ]
     return from_edges(n, edges)
-
-
-def no_t_clique_condition(g: Graph, t: int) -> bool:
-    """Degree threshold under which every t vertices share a common neighbor,
-    forcing zero t-maximal cliques (the common-neighbor subcases)."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    if g.n == 0:
-        return False
-    q, r = divmod(g.n, t)
-    d = min_degree(g)
-    if r > 0:
-        return d >= g.n - q
-    return d >= g.n - q + 1
 
 
 @dataclass(frozen=True)
@@ -445,6 +430,8 @@ def verify_bound_exhaustive(
     if workers > 1 and total >= 1 << 12:
         chunk = (blocks + workers - 1) // workers
         jobs = [(n, lo, min(lo + chunk, blocks)) for lo in range(0, blocks, chunk)]
+        import multiprocessing  # here, so commands that never fork skip its import
+
         with multiprocessing.Pool(workers) as pool:
             parts = pool.starmap(_scan_blocks, jobs)
     else:

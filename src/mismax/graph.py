@@ -11,18 +11,20 @@ earlier pairs in more significant bits.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import getitem, lshift, xor
+from operator import getitem, xor
 from typing import Iterable, Iterator
 
 MAX_VERTICES = 64
 
 # Largest order served by the lazily built lookup tables: the byte tables of
-# _rows_from_mask here and the subset tables of the counting kernel. At n = 12
-# they take about 0.1 MB and 1.3 MB. The subset tables grow as 4^n bits, and
-# the byte tables at n = 62 would take 23 MB, so larger orders keep the bit
-# walk and Bron-Kerbosch.
+# _rows_from_mask here, the character tables of the graph6 decoder and the
+# subset tables of the counting kernel. At n = 12 they take about 0.1 MB,
+# 0.05 MB and 1.3 MB. The subset tables grow as 4^n bits, and the byte tables
+# at n = 62 would take tens of MB, so larger orders keep the bit walk and
+# Bron-Kerbosch.
 _TABLE_MAX_N = 12
 
 
@@ -105,35 +107,61 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(rows))
 
 
+@dataclass(frozen=True)
+class _Layout:
+    """The n-vertex matrix packed into one int with a row stride of w bits,
+    w in {8, 16, 32, 64} the smallest that is >= n: entry (v, u) at bit
+    v*w + u, so the rows are the n little-endian w-bit words of `fmt`."""
+
+    width: int
+    fmt: struct.Struct
+    diag: int
+    # delta swaps that transpose the w x w matrix: for s = w/2, ..., 1 the
+    # entries (r, c) with c & s set and r & s clear, which trade places with
+    # (r + s, c - s) at shift s*(w - 1)
+    swaps: tuple[tuple[int, int], ...]
+
+
 @lru_cache(maxsize=MAX_VERTICES + 1)
-def _matrix_masks(n: int) -> tuple[tuple[int, ...], int, int, tuple[tuple[int, int], ...]]:
-    """Masks over the n-vertex matrix packed as sum(adj[v] << v*n), entry (v, u)
-    at bit v*n + u: the row shifts, the diagonal, the lower triangle, and for
-    each d = 1..n-1 the upper diagonal u = v + d with the shift d*(n-1) that
-    moves each of its entries onto the mirror entry (u, v)."""
-    shifts = tuple(v * n for v in range(n))
-    diag = sum(1 << v * (n + 1) for v in range(n))
-    lower = sum(((1 << v) - 1) << v * n for v in range(n))
-    uppers = tuple(
-        (sum(1 << v * (n + 1) + d for v in range(n - d)), d * (n - 1)) for d in range(1, n)
+def _layout(n: int) -> _Layout:
+    w, code = next((w, code) for w, code in ((8, "B"), (16, "H"), (32, "I"), (64, "Q")) if w >= n)
+    swaps = []
+    s = w // 2
+    while s:
+        mask = sum(1 << r * w + c for r in range(w) for c in range(w) if c & s and not r & s)
+        swaps.append((mask, s * (w - 1)))
+        s //= 2
+    return _Layout(
+        w,
+        struct.Struct(f"<{n}{code}"),
+        sum(1 << v * (w + 1) for v in range(n)),
+        tuple(swaps),
     )
-    return shifts, diag, lower, uppers
 
 
 def _is_valid_matrix(n: int, adj: tuple[int, ...]) -> bool:
-    """True iff the rows (n >= 1 of them) are in range, loop-free and symmetric,
-    checked on the whole packed matrix at once."""
-    if min(adj) < 0 or max(adj) >> n:
+    """True iff the rows are in range, loop-free and symmetric, checked on the
+    whole packed matrix at once: symmetric means equal to its transpose. That
+    also rejects a bit u with n <= u < w in row v, whose mirror would lie in
+    row u, past the n rows of the matrix."""
+    layout = _layout(n)
+    try:
+        m = int.from_bytes(layout.fmt.pack(*adj), "little")
+    except struct.error:  # a negative row, or one of w bits or more
         return False
-    shifts, diag, lower, uppers = _matrix_masks(n)
-    # rows are in range, so the shifted rows do not overlap and sum is bitwise or
-    m = sum(map(lshift, adj, shifts))
-    if m & diag:
+    if m & layout.diag:
         return False
-    mirror = 0
-    for upper, shift in uppers:
-        mirror |= (m & upper) << shift
-    return mirror == m & lower
+    t = m
+    for mask, shift in layout.swaps:
+        d = (t ^ t >> shift) & mask
+        t ^= d ^ d << shift
+    return t == m
+
+
+def _matrix_rows(n: int, m: int) -> tuple[int, ...]:
+    """The rows of a matrix packed in the layout of order n."""
+    fmt = _layout(n).fmt
+    return fmt.unpack(m.to_bytes(fmt.size, "little"))
 
 
 @lru_cache(maxsize=MAX_VERTICES + 1)
@@ -219,19 +247,25 @@ def _bit_pairs(n: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple((i, j, 1 << i, 1 << j) for i, j in reversed(triangle_pairs(n)))
 
 
+def _pair_table(n: int, low: int, width: int) -> tuple[int, ...]:
+    """Entry x is the packed matrix of the pairs at the mask bits low + j for
+    the set bits j of x, x below 2^width; a bit outside the mask sets none."""
+    pairs = _bit_pairs(n)
+    w = _layout(n).width
+    table = [0]
+    for b in range(low, low + width):
+        entry = 0
+        if 0 <= b < len(pairs):
+            i, j, _, _ = pairs[b]
+            entry = 1 << (i * w + j) | 1 << (j * w + i)
+        table += [p | entry for p in table]
+    return tuple(table)
+
+
 @lru_cache(maxsize=_TABLE_MAX_N + 1)
 def _byte_tables(n: int) -> tuple[tuple[int, ...], ...]:
-    """Per byte k of an n-vertex triangle mask, the table whose entry x is the
-    matrix packed as sum(adj[v] << v*n) of the pairs that x sets in byte k."""
-    tables = []
-    pairs = _bit_pairs(n)
-    for k in range(0, len(pairs), 8):
-        table = [0]
-        for i, j, _, _ in pairs[k : k + 8]:
-            entry = 1 << (i * n + j) | 1 << (j * n + i)
-            table += [p | entry for p in table]
-        tables.append(tuple(table))
-    return tuple(tables)
+    """Per byte k of an n-vertex triangle mask, the packed matrix of each value."""
+    return tuple(_pair_table(n, k, 8) for k in range(0, n * (n - 1) // 2, 8))
 
 
 def _rows_from_mask(n: int, mask: int) -> tuple[int, ...]:
@@ -240,9 +274,7 @@ def _rows_from_mask(n: int, mask: int) -> tuple[int, ...]:
     if n <= _TABLE_MAX_N:
         tables = _byte_tables(n)
         # the tables of distinct bytes set distinct pairs, so sum is bitwise or
-        m = sum(map(getitem, tables, mask.to_bytes(len(tables), "little")))
-        full = (1 << n) - 1
-        return tuple(m >> s & full for s in _matrix_masks(n)[0])
+        return _matrix_rows(n, sum(map(getitem, tables, mask.to_bytes(len(tables), "little"))))
     table = _bit_pairs(n)
     rows = [0] * n
     while mask:

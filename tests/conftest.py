@@ -4,7 +4,7 @@ import pytest
 from hypothesis import strategies as st
 
 from mismax import Graph, from_edges
-from mismax.graph import from_triangle_mask
+from mismax.graph import from_triangle_mask, triangle_pairs
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -15,6 +15,17 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
         if rng.random() < p
     ]
     return from_edges(n, edges)
+
+
+def rows_by_bit_walk(n: int, mask: int) -> tuple[int, ...]:
+    """Reference decode: pair p of triangle_pairs(n) sits at mask bit C(n,2)-1-p."""
+    pairs = triangle_pairs(n)
+    rows = [0] * n
+    for p, (i, j) in enumerate(pairs):
+        if mask >> (len(pairs) - 1 - p) & 1:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return tuple(rows)
 
 
 def path_graph(n: int) -> Graph:

@@ -23,8 +23,8 @@ from mismax import (
     maximal_clique_size_profile,
     mis_size_profile,
     moon_moser_total,
-    no_t_clique_condition,
     oracle_mis_size_profile,
+    proof_subcase,
     verify_bound_exhaustive,
 )
 from mismax.counting import maximal_clique_counts
@@ -128,7 +128,7 @@ def test_criterion_6_proof_trace_identities():
                 hit = d >= n - q if r > 0 else d >= n - q + 1
                 if mask % 4096 == 0:
                     # sampled cross-check of the inlined threshold
-                    assert hit == no_t_clique_condition(Graph(n, tuple(rows)), t)
+                    assert hit == (proof_subcase(Graph(n, tuple(rows)), t) in ("1a", "2a"))
                 if hit:
                     if counts is None:
                         counts = maximal_clique_counts(tuple(rows), n)

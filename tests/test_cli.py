@@ -1,8 +1,13 @@
 import io
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mismax
 from mismax import graph6_decode, graph6_encode, mis_size_profile
 from mismax.cli import _count_fields, main
 from mismax.counting import polynomial_string
@@ -341,3 +346,15 @@ def test_verify_stream_above_canon_limit(capsys, monkeypatch, extremal_args, ver
     assert "bound_holds=true unique_attainer=true" in out
     assert f" attainers={graph.strip()} " in out
     assert out.endswith(" coverage=stream(-)\n")
+
+
+def test_cli_import_skips_multiprocessing():
+    # only an exhaustive scan with workers > 1 forks, so only it imports the pool
+    src = str(Path(mismax.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, mismax.cli; print('multiprocessing' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"

@@ -14,7 +14,7 @@ from mismax import (
     write_edge_list,
 )
 
-from conftest import path_graph, random_graph
+from conftest import path_graph, random_graph, rows_by_bit_walk
 
 
 def test_fixed_vectors_decode():
@@ -67,8 +67,11 @@ def test_decode_rejects_nonzero_padding():
 
 
 def test_encode_rejects_large_order():
-    with pytest.raises(CodecError):
+    # the decoder cannot meet n > 62 in short form: the first character of
+    # n = 63 is the long-form marker "~"
+    with pytest.raises(CodecError) as exc:
         graph6_encode(empty_graph(63))
+    assert str(exc.value) == "graph order 63 exceeds graph6 short form limit 62"
 
 
 def test_edge_list_roundtrip():
@@ -133,3 +136,62 @@ def test_roundtrip_edge_list_random():
     for _ in range(100):
         g = random_graph(rng, rng.randint(0, 16), 0.4)
         assert read_edge_list(write_edge_list(g)) == g
+
+
+def graph6_of_mask(n, mask):
+    """Reference encode: the mask's bits from the top, six to a character,
+    zero padding at the end."""
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    stream = mask << (6 * nbytes - nbits)
+    return chr(n + 63) + "".join(chr((stream >> 6 * k & 63) + 63) for k in reversed(range(nbytes)))
+
+
+def test_decode_every_mask_up_to_5():
+    for n in range(6):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            assert graph6_decode(graph6_of_mask(n, mask)).adj == rows_by_bit_walk(n, mask)
+
+
+@pytest.mark.parametrize("n", range(6, 15))  # the character tables stop at 12
+def test_decode_seeded(n):
+    rng = random.Random(900 + n)
+    nbits = n * (n - 1) // 2
+    masks = [0, (1 << nbits) - 1] + [rng.getrandbits(nbits) for _ in range(60)]
+    for mask in masks:
+        assert graph6_decode(graph6_of_mask(n, mask)).adj == rows_by_bit_walk(n, mask)
+
+
+def malformed_lines(n):
+    """(line, message) for each decode error, built from a valid n-vertex line."""
+    g6 = graph6_of_mask(n, random.Random(n).getrandbits(n * (n - 1) // 2))
+    cases = [
+        (">>graph6<<", "empty graph6 string"),
+        (g6[:3] + "é" + g6[4:], "character 'é' outside graph6 range 63..126"),
+        (g6[:-1] + ">", "character '>' outside graph6 range 63..126"),
+        (g6[:2] + chr(127) + g6[3:], "character '\\x7f' outside graph6 range 63..126"),
+        ("~" + g6[1:], "long-form graph6 (n > 62) not supported"),
+        (g6[:-1], f"graph6 string length {len(g6) - 1} wrong for n={n} (expected {len(g6)})"),
+        (g6 + "?", f"graph6 string length {len(g6) + 1} wrong for n={n} (expected {len(g6)})"),
+    ]
+    if (n * (n - 1) // 2) % 6:
+        # the lowest bit of the last character is padding
+        last = chr((ord(g6[-1]) - 63 | 1) + 63)
+        cases.append((g6[:-1] + last, "nonzero padding bits in graph6 string"))
+    return cases
+
+
+# 9 and 13 have no padding bits, 10 and 14 have 3 and 5; 13 and 14 are above
+# the character tables
+@pytest.mark.parametrize("n", [9, 10, 13, 14])
+def test_decode_error_messages_and_lines(n):
+    valid = [graph6_of_mask(n, 0), graph6_of_mask(n, 1)]
+    for line, message in malformed_lines(n):
+        with pytest.raises(CodecError) as exc:
+            graph6_decode(line)
+        assert str(exc.value) == message
+        assert exc.value.line is None
+        with pytest.raises(CodecError) as exc:
+            list(read_graph6_stream(valid + [line + "\n", valid[0]]))
+        assert str(exc.value) == f"line 3: {message}"
+        assert exc.value.line == 3

@@ -23,7 +23,6 @@ from mismax import (
     min_degree,
     mis_size_profile,
     moon_moser_total,
-    no_t_clique_condition,
     permute,
     proof_subcase,
     verify_bound_exhaustive,
@@ -109,10 +108,14 @@ def test_turan_clique_profile_one_size():
             assert profile.total() == f
 
 
+# the common-neighbour subcases 1a and 2a are the degree threshold under which
+# every t vertices share a neighbour, so no t-clique is maximal
+
+
 def test_no_t_clique_condition_examples():
-    assert no_t_clique_condition(complete_graph(7), 3) is True
-    assert no_t_clique_condition(path_graph(4), 2) is False
-    assert no_t_clique_condition(build_turan(6, 2), 2) is False
+    assert proof_subcase(complete_graph(7), 3) in ("1a", "2a")
+    assert proof_subcase(path_graph(4), 2) not in ("1a", "2a")
+    assert proof_subcase(build_turan(6, 2), 2) not in ("1a", "2a")
 
 
 def test_no_t_clique_condition_implies_zero():
@@ -120,7 +123,7 @@ def test_no_t_clique_condition_implies_zero():
     for _ in range(200):
         g = random_graph(rng, rng.randint(1, 10), rng.choice([0.5, 0.8, 0.9]))
         for t in range(1, g.n + 1):
-            if no_t_clique_condition(g, t):
+            if proof_subcase(g, t) in ("1a", "2a"):
                 assert maximal_clique_size_profile(g).get(t) == 0
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import struct
 
 import pytest
 from hypothesis import given
@@ -14,13 +15,15 @@ from mismax import (
     disjoint_union,
     empty_graph,
     from_edges,
+    graph6_decode,
+    graph6_encode,
     induced_subgraph,
     maximal_clique_size_profile,
     min_degree,
     mis_size_profile,
     permute,
 )
-from mismax import counting, graph
+from mismax import codec, counting, graph
 from mismax.extremal import build_turan
 from mismax.graph import (
     _rows_from_mask,
@@ -31,7 +34,7 @@ from mismax.graph import (
     triangle_pairs,
 )
 
-from conftest import cycle_graph, graphs, path_graph, random_graph
+from conftest import cycle_graph, graphs, path_graph, random_graph, rows_by_bit_walk
 
 
 def test_from_edges_path():
@@ -216,21 +219,59 @@ def test_validator_matches_per_bit_reference():
             assert accepted == rows_are_valid(n, rows), (n, rows)
 
 
-@pytest.mark.parametrize("n", [9, 10, 33, 62, 64])
+# the row stride of the packed matrix is 8, 16, 32 or 64 bits: these orders
+# sit on both sides of each stride boundary
+STRIDE_ORDERS = [1, 8, 9, 10, 16, 17, 32, 33, 62, 63, 64]
+
+
+@pytest.mark.parametrize("n", STRIDE_ORDERS)
 def test_validator_rejects_every_single_bit_flip(n):
+    # the word-level check is asserted directly: a valid matrix it wrongly
+    # rejects would still pass the row walk behind it
     rng = random.Random(n)
     for p in (0.5, 0.9):
         g = random_graph(rng, n, p)
+        assert graph._is_valid_matrix(n, g.adj)
         assert Graph(n, g.adj) == g
     # average degree 3, so the row walk that names the offender stays short
     rows = list(random_graph(rng, n, 3 / n).adj)
+    assert graph._is_valid_matrix(n, tuple(rows))
     assert Graph(n, tuple(rows)).adj == tuple(rows)
     for v in range(n):
         for u in range(n + 1):  # bit n is out of range
+            if u == n:
+                message = f"adjacency row {v} has bits >= n"
+            elif u == v:
+                message = f"loop at vertex {v}"
+            elif rows[v] >> u & 1:  # the flip drops u from row v only
+                message = f"asymmetric adjacency between {v} and {u}"
+            else:  # the flip adds u to row v only
+                message = f"asymmetric adjacency between {u} and {v}"
             rows[v] ^= 1 << u
-            with pytest.raises(ValueError):
+            assert not graph._is_valid_matrix(n, tuple(rows)), (v, u)
+            with pytest.raises(ValueError) as exc:
                 Graph(n, tuple(rows))
+            assert str(exc.value) == message
             rows[v] ^= 1 << u
+
+
+@pytest.mark.parametrize("n", STRIDE_ORDERS)
+def test_rows_beyond_the_stride(n):
+    # a row of 2^w or a negative one does not fit a w-bit word of the packed
+    # matrix; its message names the row as any other bit >= n does
+    w = next(w for w in (8, 16, 32, 64) if w >= n)
+    rng = random.Random(700 + n)
+    for rows in ([0] * n, list(random_graph(rng, n, 0.5).adj)):
+        for v in {0, n // 2, n - 1}:
+            # the low w bits keep the row, so the row walk finds no earlier offender
+            for extra in (1 << w, -1 << w, -1):
+                bad = tuple(rows[:v] + [rows[v] | extra] + rows[v + 1 :])
+                with pytest.raises(struct.error):
+                    graph._layout(n).fmt.pack(*bad)
+                assert not graph._is_valid_matrix(n, bad)
+                with pytest.raises(ValueError) as exc:
+                    Graph(n, bad)
+                assert str(exc.value) == f"adjacency row {v} has bits >= n"
 
 
 @pytest.mark.parametrize(
@@ -255,17 +296,6 @@ def test_largest_graphs_construct():
     assert complement(complete_graph(64)) == empty_graph(64)
 
 
-def rows_by_bit_walk(n, mask):
-    """Reference decode: pair p of triangle_pairs(n) sits at mask bit C(n,2)-1-p."""
-    pairs = triangle_pairs(n)
-    rows = [0] * n
-    for p, (i, j) in enumerate(pairs):
-        if mask >> (len(pairs) - 1 - p) & 1:
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-    return tuple(rows)
-
-
 def test_rows_from_mask_every_mask_up_to_5():
     for n in range(6):
         for mask in range(1 << (n * (n - 1) // 2)):
@@ -287,7 +317,7 @@ def test_rows_from_mask_seeded(n):
 @pytest.mark.parametrize("n", [12, 13, 40])
 def test_lookup_tables_only_up_to_order_12(n):
     # a table above order 12 is never built: at n = 40 it would need 2^40 bits
-    caches = (graph._byte_tables, counting._subset_tables)
+    caches = (graph._byte_tables, codec._char_tables, counting._subset_tables)
 
     def state():
         infos = [c.cache_info() for c in caches]
@@ -296,6 +326,7 @@ def test_lookup_tables_only_up_to_order_12(n):
     g = random_graph(random.Random(n), n, 0.5)
     before = state()
     assert from_triangle_mask(n, triangle_mask(g)) == g
+    assert graph6_decode(graph6_encode(g)) == g
     assert mis_size_profile(g).total() == maximal_clique_size_profile(complement(g)).total()
     after = state()
     for (size0, calls0), (size1, calls1) in zip(before, after):
