@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--n8-opt-in",
         action="store_true",
         default=None,
-        help="allow --n 8: 2^28 graphs, about 1 min with one worker",
+        help="allow --n 8: 2^28 graphs, about 20 s with one worker",
     )
     p.set_defaults(func=cmd_verify)
 

@@ -45,12 +45,11 @@ def graph6_decode(line: str) -> Graph:
         for ch in s:
             if not 63 <= ord(ch) <= 126:
                 raise CodecError(f"character {ch!r} outside graph6 range 63..126")
-    first = raw[0] - 63
-    if first == 63:
+    # past the range check the first character gives at most 63, the
+    # long-form marker "~", so every short-form order is at most 62
+    n = raw[0] - 63
+    if n == 63:
         raise CodecError("long-form graph6 (n > 62) not supported")
-    n = first
-    if n > GRAPH6_MAX_N:
-        raise CodecError(f"graph order {n} exceeds {GRAPH6_MAX_N}")
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(s) != 1 + nbytes:

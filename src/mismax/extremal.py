@@ -10,8 +10,13 @@ around a vertex k with neighbourhood N, where G' = G - k:
 - B, the maximal cliques avoiding k, are the maximal cliques C of G' that
   are not inside N.
 
-Taking k as the last vertex, one clique enumeration of G' gives the counts
-of all 2^(n-1) graphs that extend G'.
+The scan applies the split to the last two vertices j = n-2 and k = n-1,
+with G'' = G - {j, k} and a the neighbourhood of j in G''. The cliques of
+G' = G - k are the cliques D of G'' and the cliques D + j for D inside a;
+cn(D) in G' is cn(D) in G'' plus j when D is inside a, and
+cn(D + j) = cn(D) & a. So one clique enumeration of G'' gives the counts of
+all 2^(2n-3) graphs that extend G'': for each a, only the cliques D inside a
+change their terms.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from .graph import (
 
 EXHAUSTIVE_DEFAULT_MAX_N = 7
 EXHAUSTIVE_HARD_MAX_N = 8
+_JOBS_PER_WORKER = 4
 
 AUTO = "auto"
 
@@ -324,77 +330,115 @@ def _spread(width: int) -> tuple[int, ...]:
     return _submasks(width, 8)
 
 
-def _extension_counts(n: int, high: int) -> list[bytes]:
-    """Per-size maximal-clique counts of the 2^(n-1) labeled n-vertex graphs G
-    with triangle mask high << (n-1) | nb: byte nb of entry s counts size s.
+def _extension_counts(n: int, hh: int) -> list[bytes]:
+    """Per-size maximal-clique counts of the 2^(2n-3) labeled n-vertex graphs
+    G with triangle mask hh << (2n-3) | aa << (n-1) | nb: byte aa << (n-1) | nb
+    of entry s counts size s, so the bytes run in mask order.
 
-    G' = G - k for the last vertex k has mask high, and nb is the
-    neighbourhood of k. One depth-first enumeration of the cliques D of G'
-    (empty D included) fills every byte by the split in the module
-    docstring: {k} + D is counted on each nb with D <= nb and nb disjoint
-    from cn(D), the common neighbourhood of D in G'; a maximal clique C of
-    G' (cn(C) empty) is counted on every nb and taken back on the supersets
-    of C. The bytes never carry into each other: for n <= 8 every count and
-    partial sum is at most twice the 12 maximal cliques a graph on 7
-    vertices can have.
+    In the frame of _extension_rows, G'' = G - {j, k} for j = n-2 and
+    k = n-1 has mask hh, j is bit 0, a = aa << 1 is the neighbourhood of j
+    and nb that of k. By the split in the module docstring, a clique D' of
+    G' = G - k with common neighbourhood cn(D') in G' counts {k} + D' on each
+    nb with D' inside nb and nb disjoint from cn(D'), and, if cn(D') is
+    empty, D' itself on each nb that does not hold D'. The cliques of G' are
+    the cliques D of G'' and, for D inside a, the cliques D + j, with
+    cn(D + j) = cn(D) & a. So one depth-first enumeration of the cliques D of
+    G'' (empty D included), with cn(D) taken in G'', fills
+    - base, where every D counts as if it were not inside a, and
+    - delta[aa], for each a containing D: cn(D) gains j, so {k} + D loses the
+      nb that hold j and D stops being maximal, and D + j is counted with
+      c = cn(D) & a.
+
+    Entry s is the 2^(n-2) segments base[s] + delta[aa][s] of 2^(n-1) bytes,
+    one byte per nb, in ascending aa. The sums are exact big ints, so a
+    partial sum may be negative or borrow across bytes; every final byte is
+    one graph's count, at most the 18 maximal cliques a graph on 8 vertices
+    can have (Moon-Moser), so each segment fits its bytes.
     """
+    if n < 2:
+        return [b"\x00", b"\x01"]  # K1 has no pair to split off
     m = n - 1
     full = (1 << m) - 1
-    rows = _extension_rows(n, high)
+    rows = _extension_rows(n, hh)
     spread = _spread(m)
-    grown = [0] * (n + 1)  # cliques {k} + D, one byte per nb
-    lost = [0] * (n + 1)  # maximal cliques of G' inside nb
-    maximal = [0] * (n + 1)
-    # (D, |D|, cn(D), the vertices of cn(D) above every vertex of D)
-    stack = [(0, 0, full, full)]
+    everywhere = spread[full]
+    base = [0] * (n + 1)
+    delta = [[0] * (n + 1) for _ in range(1 << (n - 2))]
+    # (D, |D|, cn(D) in G'', the vertices of cn(D) above every vertex of D)
+    stack = [(0, 0, full ^ 1, full ^ 1)]
     while stack:
         d, size, cn, up = stack.pop()
-        if cn:
-            grown[size + 1] += spread[full & ~(d | cn)] << 8 * d
-        else:
-            maximal[size] += 1
-            supersets = spread[full & ~d] << 8 * d
-            grown[size + 1] += supersets
-            lost[size] += supersets
+        supersets = spread[full & ~(d | cn)] << 8 * d
+        base[size + 1] += supersets
+        maximal = 0 if cn else everywhere - supersets
+        base[size] += maximal
+        dj = d | 1
+        shift = 8 * dj
+        lost = spread[full & ~(dj | cn)] << shift  # {k} + D on the nb holding j
+        joined = everywhere - (spread[full & ~dj] << shift)  # D + j maximal
+        rest = full & ~(dj | cn)
+        c = cn
+        while True:  # each c inside cn(D), then each a = D | c | r, r inside rest
+            grown = spread[full & ~(dj | c)] << shift  # {k} + D + j
+            changed = -lost if c else joined - lost
+            r = rest
+            while True:
+                acc = delta[(d | c | r) >> 1]
+                acc[size + 2] += grown
+                acc[size + 1] += changed
+                if maximal:
+                    acc[size] -= maximal
+                if not r:
+                    break
+                r = (r - 1) & rest
+            if not c:
+                break
+            c = (c - 1) & cn
         while up:
             b = up & -up
             up ^= b
             row = rows[b.bit_length() - 1]
             stack.append((d | b, size + 1, cn & row, up & row))
-    everywhere = spread[full]
-    return [
-        (g + c * everywhere - x).to_bytes(full + 1, "little")
-        for g, c, x in zip(grown, maximal, lost)
-    ]
+    segment = 1 << m
+    columns = []
+    for s, total in enumerate(base):
+        # the segments of an a whose cliques leave size s alone share bytes
+        unchanged = total.to_bytes(segment, "little")
+        columns.append(b"".join(
+            (total + acc[s]).to_bytes(segment, "little") if acc[s] else unchanged
+            for acc in delta
+        ))
+    return columns
 
 
 def _scan_blocks(n: int, lo: int, hi: int) -> tuple[list[int], dict[int, list[int]], int]:
     """Worker: count the maximal cliques of the labeled n-vertex graphs whose
-    first n-1 vertices have triangle mask in [lo, hi), 2^(n-1) graphs per mask.
+    first n-2 vertices have triangle mask in [lo, hi), 2^(2n-3) graphs per
+    mask (the one graph for n = 1).
 
     Returns (per-t maximum counts, {t: masks attaining bound_f(n,t)} in
     ascending order, number of graphs scanned).
     """
-    m = n - 1
     bounds = [0] + [bound_f(n, t).f for t in range(1, n + 1)]
     at_most = [bytes(range(c + 1)) for c in range(256)]
     max_counts = [0] * (n + 1)
     attainers: dict[int, list[int]] = {t: [] for t in range(1, n + 1)}
     scanned = 0
-    for high in range(lo, hi):
-        counts = _extension_counts(n, high)
-        scanned += len(counts[0])
-        base = high << m
+    for hh in range(lo, hi):
+        counts = _extension_counts(n, hh)
+        lanes = len(counts[0])
+        scanned += lanes
+        base = hh * lanes  # hh << (2n-3)
         for t in range(1, n + 1):
             column = counts[t]
             # deleting the counts up to the maximum so far leaves the larger ones
             if column.translate(None, at_most[max_counts[t]]):
                 max_counts[t] = max(column)
             f = bounds[t]
-            nb = column.find(f)
-            while nb >= 0:
-                attainers[t].append(base | nb)
-                nb = column.find(f, nb + 1)
+            lane = column.find(f)
+            while lane >= 0:
+                attainers[t].append(base | lane)
+                lane = column.find(f, lane + 1)
     return max_counts, attainers, scanned
 
 
@@ -424,11 +468,14 @@ def verify_bound_exhaustive(
         if not 1 <= t <= n:
             raise ValueError(f"t={t} outside 1..{n}")
     total = 1 << (n * (n - 1) // 2)
-    blocks = 1 << ((n - 1) * (n - 2) // 2)  # masks of the first n-1 vertices
+    # masks of the first n-2 vertices; n = 1 is one block of one graph
+    blocks = 1 << (n - 2) * (n - 3) // 2 if n > 1 else 1
     workers = min(workers, os.cpu_count() or 1)
 
     if workers > 1 and total >= 1 << 12:
-        chunk = (blocks + workers - 1) // workers
+        # several jobs per worker, taken in turn, even out the sparse and
+        # dense ends of the mask range; starmap keeps their order
+        chunk = -(-blocks // (workers * _JOBS_PER_WORKER))
         jobs = [(n, lo, min(lo + chunk, blocks)) for lo in range(0, blocks, chunk)]
         import multiprocessing  # here, so commands that never fork skip its import
 

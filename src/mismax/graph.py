@@ -292,16 +292,19 @@ def _reversed_bits(width: int) -> tuple[int, ...]:
     return tuple(int(format(x, f"0{width}b")[::-1], 2) for x in range(1 << width))
 
 
-def _extension_rows(n: int, high: int) -> tuple[int, ...]:
-    """Adjacency rows of G - (n-1) for the n-vertex graphs G with triangle mask
-    high << (n-1) | nb, relabeled v -> n-2-v.
+def _extension_rows(n: int, hh: int) -> tuple[int, ...]:
+    """Adjacency rows of G - {n-2, n-1} for the n-vertex graphs G (n >= 2)
+    with triangle mask hh << (2n-3) | aa << (n-1) | nb, relabeled v -> n-2-v,
+    after an empty row 0 for vertex n-2.
 
-    The low n-1 bits nb of such a mask hold the pairs of the last vertex, bit b
-    the pair (n-2-b, n-1). After the relabeling a vertex set of G - (n-1) and
-    the neighbourhood of vertex n-1 are the same kind of mask as nb.
+    The low n-1 bits nb of such a mask hold the pairs of vertex n-1, bit b the
+    pair (n-2-b, n-1), and the next n-2 bits aa those of vertex n-2, bit b the
+    pair (n-3-b, n-2). After the relabeling a vertex set of G - (n-1), the
+    neighbourhood nb of vertex n-1 and the neighbourhood aa << 1 of vertex n-2
+    are the same kind of mask.
     """
-    rev = _reversed_bits(n - 1)
-    return tuple(rev[row] for row in reversed(_rows_from_mask(n - 1, high)))
+    rev = _reversed_bits(n - 2)
+    return (0,) + tuple(rev[row] << 1 for row in reversed(_rows_from_mask(n - 2, hh)))
 
 
 def triangle_mask(g: Graph) -> int:

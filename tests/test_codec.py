@@ -66,6 +66,23 @@ def test_decode_rejects_nonzero_padding():
         graph6_decode("D?@")
 
 
+# the marker alone, with a short tail, as the long form of n = 63 ("~??~" and
+# 326 data characters), and on the data of the largest short-form order
+@pytest.mark.parametrize(
+    "line", ["~", "~??", "~??~" + "?" * 326, "~" + graph6_encode(complete_graph(62))[1:]]
+)
+def test_decode_long_form_message(line):
+    with pytest.raises(CodecError) as exc:
+        graph6_decode(line)
+    assert str(exc.value) == "long-form graph6 (n > 62) not supported"
+
+
+def test_decode_largest_short_form_order():
+    g = complete_graph(62)
+    assert graph6_encode(g)[0] == "}"
+    assert graph6_decode(graph6_encode(g)) == g
+
+
 def test_encode_rejects_large_order():
     # the decoder cannot meet n > 62 in short form: the first character of
     # n = 63 is the long-form marker "~"

@@ -32,9 +32,9 @@ from mismax import extremal
 from mismax.codec import graph6_encode
 from mismax.counting import maximal_clique_counts
 from mismax.extremal import auto_split_vertex
-from mismax.graph import _rows_from_mask, from_triangle_mask
+from mismax.graph import from_triangle_mask
 
-from conftest import graphs, path_graph, random_graph
+from conftest import graphs, path_graph, random_graph, rows_by_bit_walk
 
 
 def test_bound_remark_values():
@@ -247,10 +247,12 @@ def test_verify_worker_blocks_tile_the_scan(monkeypatch, serial_pool):
     monkeypatch.setattr("os.cpu_count", lambda: 3)
     multi = verify_bound_exhaustive(6, workers=3)
     assert serial_pool.sizes == [3]
-    # one block per triangle mask of the first 5 vertices: 2^10 blocks
-    ranges = sorted((lo, hi) for n, lo, hi in serial_pool.jobs)
+    # one block per triangle mask of the first 4 vertices: 2^6 blocks, in
+    # several jobs per worker, handed out in ascending order
+    ranges = [(lo, hi) for n, lo, hi in serial_pool.jobs]
     assert all(n == 6 for n, _, _ in serial_pool.jobs)
-    assert ranges[0][0] == 0 and ranges[-1][1] == 1 << 10
+    assert len(ranges) > 3
+    assert ranges[0][0] == 0 and ranges[-1][1] == 1 << 6
     assert all(hi == next_lo for (_, hi), (next_lo, _) in zip(ranges, ranges[1:]))
     assert all(lo < hi for lo, hi in ranges)
     assert multi == verify_bound_exhaustive(6, workers=1)
@@ -263,34 +265,39 @@ def test_verify_rejects_partial_coverage(monkeypatch, serial_pool):
 
     monkeypatch.setattr("multiprocessing.Pool", DropLastJob)
     monkeypatch.setattr("os.cpu_count", lambda: 3)
-    # the jobs cover blocks [0, 342), [342, 684), [684, 1024) of 32 graphs each
-    with pytest.raises(ValueError, match="covered 21888 of the 32768 labeled graphs"):
+    # the jobs cover blocks [0, 6), [6, 12), ..., [54, 60), [60, 64) of 512
+    # graphs each
+    with pytest.raises(ValueError, match="covered 30720 of the 32768 labeled graphs"):
         verify_bound_exhaustive(6, workers=3)
 
 
-def _check_block(n, high):
-    """The block's counts equal a Bron-Kerbosch count of each of its graphs."""
-    counts = extremal._extension_counts(n, high)
+def _check_block(n, hh):
+    """The block's counts equal a per-graph count of each of its graphs:
+    byte aa << (n-1) | nb is the graph with mask hh << (2n-3) | aa << (n-1) | nb."""
+    counts = extremal._extension_counts(n, hh)
+    lanes = 1 << (2 * n - 3) if n > 1 else 1
     assert len(counts) == n + 1
-    for nb in range(1 << (n - 1)):
-        mask = high << (n - 1) | nb
-        got = [column[nb] for column in counts]
-        assert got == maximal_clique_counts(_rows_from_mask(n, mask), n), (n, mask)
+    assert all(len(column) == lanes for column in counts)
+    for lane in range(lanes):
+        mask = hh * lanes + lane  # hh << (2n-3) | lane for n > 1
+        got = [column[lane] for column in counts]
+        assert got == maximal_clique_counts(rows_by_bit_walk(n, mask), n), (n, mask)
 
 
 def test_extension_counts_match_bk_every_graph_up_to_6():
     for n in range(1, 7):
-        for high in range(1 << ((n - 1) * (n - 2) // 2)):
-            _check_block(n, high)
+        for hh in range(1 << max(n - 2, 0) * max(n - 3, 0) // 2):
+            _check_block(n, hh)
 
 
-@pytest.mark.parametrize("n,samples", [(7, 64), (8, 24)])
+# 2 + 2 blocks of 2^11 graphs at n = 7, 2 + 1 of 2^13 at n = 8
+@pytest.mark.parametrize("n,samples", [(7, 2), (8, 1)])
 def test_extension_counts_match_bk_sampled_blocks(n, samples):
     rng = random.Random(f"blocks:{n}")
-    nbits = (n - 1) * (n - 2) // 2
-    highs = [0, (1 << nbits) - 1] + [rng.getrandbits(nbits) for _ in range(samples)]
-    for high in highs:
-        _check_block(n, high)
+    nbits = (n - 2) * (n - 3) // 2
+    hhs = [0, (1 << nbits) - 1] + [rng.getrandbits(nbits) for _ in range(samples)]
+    for hh in hhs:
+        _check_block(n, hh)
 
 
 def test_verify_stream():
