@@ -1,7 +1,7 @@
 """mismax: counting size-t maximal independent sets and verifying the
 extremal bound q^(t-r)(q+1)^r with its unique extremal graph."""
 
-from .canon import CanonicalForm, canonical_form, count_isomorphism_classes, is_isomorphic
+from .canon import CanonicalForm, canonical_form
 from .codec import (
     CodecError,
     graph6_decode,
@@ -12,9 +12,7 @@ from .codec import (
 )
 from .counting import (
     SizeProfile,
-    enumerate_mis,
     maximal_clique_size_profile,
-    maximal_independence_polynomial,
     mis_size_profile,
     oracle_mis_size_profile,
 )
@@ -26,7 +24,6 @@ from .extremal import (
     build_H,
     build_turan,
     induction_split,
-    moon_moser_total,
     proof_subcase,
     verify_bound_exhaustive,
     verify_bound_stream,
@@ -42,7 +39,6 @@ from .graph import (
     from_edges,
     induced_subgraph,
     min_degree,
-    permute,
 )
 
 __all__ = [
@@ -59,25 +55,19 @@ __all__ = [
     "canonical_form",
     "complement",
     "complete_graph",
-    "count_isomorphism_classes",
     "degree",
     "delete_vertex",
     "disjoint_union",
     "empty_graph",
-    "enumerate_mis",
     "from_edges",
     "graph6_decode",
     "graph6_encode",
     "induced_subgraph",
     "induction_split",
-    "is_isomorphic",
     "maximal_clique_size_profile",
-    "maximal_independence_polynomial",
     "min_degree",
     "mis_size_profile",
-    "moon_moser_total",
     "oracle_mis_size_profile",
-    "permute",
     "proof_subcase",
     "read_edge_list",
     "read_graph6_stream",

@@ -1,4 +1,4 @@
-"""Canonical labeling and isomorphism testing for small graphs.
+"""Canonical labeling of small graphs; equal forms certify isomorphism.
 
 The canonical key is the lexicographically minimal triangle mask (see
 graph.triangle_mask) over all vertex relabelings.
@@ -79,14 +79,6 @@ def canonical_form(g: Graph) -> CanonicalForm:
     for depth, col in enumerate(best):
         key = key << depth | col
     return CanonicalForm(n, key)
-
-
-def is_isomorphic(g1: Graph, g2: Graph) -> bool:
-    if g1.n != g2.n:
-        return False
-    if sorted(r.bit_count() for r in g1.adj) != sorted(r.bit_count() for r in g2.adj):
-        return False
-    return canonical_form(g1) == canonical_form(g2)
 
 
 def _permutation_bit_tables(n: int, perm: list[int]) -> list[list[int]]:

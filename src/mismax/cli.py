@@ -123,7 +123,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     started = time.monotonic()
     reports = []
     if args.input is not None:
-        scan_flags = {"--n": args.n, "--workers": args.workers, "--n8-opt-in": args.n8_opt_in}
+        scan_flags = {"--n": args.n, "--workers": args.workers}
         given = [flag for flag, value in scan_flags.items() if value is not None]
         if given:
             raise SystemExit2(f"{' and '.join(given)} cannot be combined with --input")
@@ -146,7 +146,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 ts=ts,
                 side=args.side,
                 workers=1 if args.workers is None else args.workers,
-                allow_n8=bool(args.n8_opt_in),
             )
         )
         exhaustive = True
@@ -214,12 +213,11 @@ def build_parser() -> argparse.ArgumentParser:
     which_t.add_argument("--all-t", action="store_true")
     p.add_argument("--side", choices=["mis", "clique"], default="mis")
     # None marks a flag not given, which --input rejects
-    p.add_argument("--workers", type=int, default=None, help="scan processes (default 1)")
     p.add_argument(
-        "--n8-opt-in",
-        action="store_true",
+        "--workers",
+        type=int,
         default=None,
-        help="allow --n 8: 2^28 graphs, about 20 s with one worker",
+        help="scan processes (default 1); --n 8 scans 2^28 graphs, about 20 s with one",
     )
     p.set_defaults(func=cmd_verify)
 

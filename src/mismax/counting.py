@@ -1,10 +1,11 @@
-"""Counting and enumeration of maximal independent sets by size.
+"""Counting of maximal independent sets by size.
 
 Maximal independent sets are counted as the maximal cliques of the
 complement graph. Up to _TABLE_MAX_N vertices the counter scans all 2^n
-vertex sets at once, one bit per set in a big-int bitset; above it, and to
-enumerate the sets one by one, it runs pivoted Bron-Kerbosch. A per-subset
-oracle provides an independent cross-check for small orders.
+vertex sets at once, one bit per set in a big-int bitset; above it, and
+where the proof trace visits the cliques one by one, it runs pivoted
+Bron-Kerbosch. A per-subset oracle provides an independent cross-check for
+small orders.
 """
 
 from __future__ import annotations
@@ -12,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from typing import Callable
 
-from .graph import _TABLE_MAX_N, Graph, _complement_rows, bits
+from .graph import _TABLE_MAX_N, Graph, _complement_rows
 
 ORACLE_MAX_N = 24
 
@@ -130,23 +130,6 @@ def maximal_clique_counts(adj: tuple[int, ...], n: int) -> list[int]:
     return counts
 
 
-def enumerate_mis(g: Graph, visit: Callable[[int], None]) -> int:
-    """Visit every maximal independent set (as a vertex-set mask) exactly once.
-
-    Returns the number visited. The order is the deterministic pivot order
-    of the clique enumeration on the complement.
-    """
-    seen = 0
-
-    def inner(rmask: int, _rsize: int) -> None:
-        nonlocal seen
-        seen += 1
-        visit(rmask)
-
-    _expand(_complement_rows(g), inner, 0, 0, g.full_set, 0)
-    return seen
-
-
 def mis_size_profile(g: Graph) -> SizeProfile:
     """Size profile of maximal independent sets, via clique enumeration on the complement."""
     n = g.n
@@ -158,11 +141,6 @@ def mis_size_profile(g: Graph) -> SizeProfile:
 def maximal_clique_size_profile(g: Graph) -> SizeProfile:
     """Per-size counts of maximal cliques; equals mis_size_profile(complement(g))."""
     return SizeProfile(g.n, tuple(maximal_clique_counts(g.adj, g.n)))
-
-
-def maximal_independence_polynomial(g: Graph) -> list[int]:
-    """Coefficients of the maximal independence polynomial, constant term first."""
-    return mis_size_profile(g).coefficients()
 
 
 def polynomial_string(coeffs: list[int]) -> str:
@@ -211,13 +189,3 @@ def oracle_mis_size_profile(g: Graph) -> SizeProfile:
         if maximal:
             counts[s.bit_count()] += 1
     return SizeProfile(n, tuple(counts))
-
-
-def is_independent(g: Graph, s: int) -> bool:
-    return all(not g.adj[v] & s for v in bits(s))
-
-
-def is_maximal_independent(g: Graph, s: int) -> bool:
-    if not is_independent(g, s):
-        return False
-    return all(g.adj[v] & s for v in bits(g.full_set & ~s))

@@ -36,6 +36,7 @@ from .counting import (
     mis_size_profile,
 )
 from .graph import (
+    MAX_VERTICES,
     _extension_rows,
     _rows_from_mask,
     Graph,
@@ -52,8 +53,7 @@ from .graph import (
     triangle_mask,
 )
 
-EXHAUSTIVE_DEFAULT_MAX_N = 7
-EXHAUSTIVE_HARD_MAX_N = 8
+EXHAUSTIVE_MAX_N = 8
 _JOBS_PER_WORKER = 4
 
 AUTO = "auto"
@@ -84,8 +84,8 @@ def build_H(n: int, t: int) -> Graph:
     """The extremal graph: disjoint union of t-r cliques K_q and r cliques K_{q+1}."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    if n < t:
-        raise ValueError(f"build_H needs n >= t, got n={n}, t={t}")
+    if not t <= n <= MAX_VERTICES:
+        raise ValueError(f"build_H needs t <= n <= {MAX_VERTICES}, got n={n}, t={t}")
     q, r = divmod(n, t)
     g = empty_graph(0)
     for _ in range(t - r):
@@ -101,8 +101,8 @@ def build_turan(n: int, k: int) -> Graph:
     Built directly from its parts, not as a complement, so the complement
     correspondence with build_H stays an independent check.
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"build_turan needs 1 <= k <= n, got n={n}, k={k}")
+    if not 1 <= k <= n <= MAX_VERTICES:
+        raise ValueError(f"build_turan needs 1 <= k <= n <= {MAX_VERTICES}, got n={n}, k={k}")
     q, r = divmod(n, k)
     sizes = [q] * (k - r) + [q + 1] * r
     part_of = []
@@ -193,25 +193,9 @@ def proof_subcase(g: Graph, t: int) -> str:
     return "2a" if d >= g.n - q + 1 else "2b"
 
 
-def _check_exhaustive_order(n: int, allow_n8: bool) -> None:
-    if n < 1:
-        raise ValueError(f"exhaustive scan needs n >= 1, got {n}")
-    limit = EXHAUSTIVE_HARD_MAX_N if allow_n8 else EXHAUSTIVE_DEFAULT_MAX_N
-    if n > limit:
-        if n == EXHAUSTIVE_HARD_MAX_N:
-            raise ValueError("n = 8 exhaustive scan requires explicit opt-in")
-        raise ValueError(f"exhaustive scan limited to n <= {EXHAUSTIVE_HARD_MAX_N}")
-
-
-def moon_moser_total(n: int) -> int:
-    """Classical maximum of the total maximal-independent-set count on n vertices."""
-    if n < 2:
-        raise ValueError("moon_moser_total needs n >= 2")
-    if n % 3 == 0:
-        return 3 ** (n // 3)
-    if n % 3 == 2:
-        return 2 * 3 ** ((n - 2) // 3)
-    return 4 * 3 ** ((n - 4) // 3)
+def _check_exhaustive_order(n: int) -> None:
+    if not 1 <= n <= EXHAUSTIVE_MAX_N:
+        raise ValueError(f"exhaustive scan needs 1 <= n <= {EXHAUSTIVE_MAX_N}, got {n}")
 
 
 @dataclass(frozen=True)
@@ -324,7 +308,7 @@ def _report(
     )
 
 
-@lru_cache(maxsize=EXHAUSTIVE_HARD_MAX_N)
+@lru_cache(maxsize=EXHAUSTIVE_MAX_N)
 def _spread(width: int) -> tuple[int, ...]:
     """Entry x has a 1 in byte s for every submask s of x, for x below 2^width."""
     return _submasks(width, 8)
@@ -352,8 +336,9 @@ def _extension_counts(n: int, hh: int) -> list[bytes]:
     Entry s is the 2^(n-2) segments base[s] + delta[aa][s] of 2^(n-1) bytes,
     one byte per nb, in ascending aa. The sums are exact big ints, so a
     partial sum may be negative or borrow across bytes; every final byte is
-    one graph's count, at most the 18 maximal cliques a graph on 8 vertices
-    can have (Moon-Moser), so each segment fits its bytes.
+    one graph's count, at most the 18 maximal cliques a graph on
+    EXHAUSTIVE_MAX_N = 8 vertices can have (Moon-Moser), so each segment
+    fits its bytes; a larger EXHAUSTIVE_MAX_N must recheck that bound.
     """
     if n < 2:
         return [b"\x00", b"\x01"]  # K1 has no pair to split off
@@ -447,7 +432,6 @@ def verify_bound_exhaustive(
     ts: Iterable[int] | None = None,
     side: str = "mis",
     workers: int = 1,
-    allow_n8: bool = False,
 ) -> list[ExtremalReport]:
     """Scan all labeled graphs on n vertices once, reporting one ExtremalReport
     per requested t. Deterministic regardless of worker count.
@@ -458,7 +442,7 @@ def verify_bound_exhaustive(
     complements of the clique attainers. Raises ValueError if the workers
     did not scan exactly 2^C(n,2) graphs between them.
     """
-    _check_exhaustive_order(n, allow_n8)
+    _check_exhaustive_order(n)
     if side not in ("mis", "clique"):
         raise ValueError("side must be 'mis' or 'clique'")
     if workers < 1:

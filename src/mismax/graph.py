@@ -36,12 +36,9 @@ def bits(mask: int) -> Iterator[int]:
         mask &= mask - 1
 
 
-def set_of(vertices: Iterable[int]) -> int:
-    """Build a vertex-set mask from an iterable of vertex indices."""
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
+def _check_order(n: int) -> None:
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
 
 
 @dataclass(frozen=True)
@@ -56,8 +53,7 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {self.n} outside 0..{MAX_VERTICES}")
+        _check_order(self.n)
         if len(self.adj) != self.n:
             raise ValueError("adjacency row count does not match n")
         # the row walk only names the first offender of a matrix that fails
@@ -80,12 +76,6 @@ class Graph:
     def full_set(self) -> int:
         return (1 << self.n) - 1
 
-    def neighbors(self, v: int) -> int:
-        return self.adj[v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as ascending (u, v) pairs with u < v."""
         return [(u, v) for u in range(self.n) for v in bits(self.adj[u]) if u < v]
@@ -96,6 +86,8 @@ class Graph:
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list; duplicate edges collapse."""
+    # before the row list, whose size an edge-list header sets
+    _check_order(n)
     rows = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -215,17 +207,6 @@ def min_degree(g: Graph) -> int:
     if g.n == 0:
         raise ValueError("min_degree undefined on the empty-vertex graph")
     return min(row.bit_count() for row in g.adj)
-
-
-def permute(g: Graph, perm: list[int] | tuple[int, ...]) -> Graph:
-    """Relabel: vertex v of g becomes perm[v] in the result."""
-    if sorted(perm) != list(range(g.n)):
-        raise ValueError("not a permutation of the vertex range")
-    rows = [0] * g.n
-    for v in range(g.n):
-        for u in bits(g.adj[v]):
-            rows[perm[v]] |= 1 << perm[u]
-    return Graph(g.n, tuple(rows))
 
 
 def complete_graph(n: int) -> Graph:

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import strategies as st
 
 from mismax import Graph, from_edges
-from mismax.graph import from_triangle_mask, triangle_pairs
+from mismax.counting import _expand
+from mismax.graph import _complement_rows, bits, from_triangle_mask, triangle_pairs
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -26,6 +27,60 @@ def rows_by_bit_walk(n: int, mask: int) -> tuple[int, ...]:
             rows[i] |= 1 << j
             rows[j] |= 1 << i
     return tuple(rows)
+
+
+def set_of(vertices) -> int:
+    """Vertex-set mask of an iterable of vertex indices."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+def permute(g: Graph, perm) -> Graph:
+    """Relabel: vertex v of g becomes perm[v] in the result."""
+    if sorted(perm) != list(range(g.n)):
+        raise ValueError("not a permutation of the vertex range")
+    rows = [0] * g.n
+    for v in range(g.n):
+        for u in bits(g.adj[v]):
+            rows[perm[v]] |= 1 << perm[u]
+    return Graph(g.n, tuple(rows))
+
+
+def enumerate_mis(g: Graph, visit) -> int:
+    """Visit every maximal independent set (as a vertex-set mask) once, in the
+    pivot order of the clique enumeration on the complement; return the count."""
+    seen = 0
+
+    def inner(rmask: int, _rsize: int) -> None:
+        nonlocal seen
+        seen += 1
+        visit(rmask)
+
+    _expand(_complement_rows(g), inner, 0, 0, g.full_set, 0)
+    return seen
+
+
+def is_independent(g: Graph, s: int) -> bool:
+    return all(not g.adj[v] & s for v in bits(s))
+
+
+def is_maximal_independent(g: Graph, s: int) -> bool:
+    if not is_independent(g, s):
+        return False
+    return all(g.adj[v] & s for v in bits(g.full_set & ~s))
+
+
+def moon_moser_total(n: int) -> int:
+    """Classical maximum of the total maximal-independent-set count on n vertices."""
+    if n < 2:
+        raise ValueError("moon_moser_total needs n >= 2")
+    if n % 3 == 0:
+        return 3 ** (n // 3)
+    if n % 3 == 2:
+        return 2 * 3 ** ((n - 2) // 3)
+    return 4 * 3 ** ((n - 4) // 3)
 
 
 def path_graph(n: int) -> Graph:

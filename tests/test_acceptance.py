@@ -15,22 +15,21 @@ from mismax import (
     canonical_form,
     complement,
     complete_graph,
-    count_isomorphism_classes,
     empty_graph,
     graph6_decode,
     graph6_encode,
     induction_split,
     maximal_clique_size_profile,
     mis_size_profile,
-    moon_moser_total,
     oracle_mis_size_profile,
     proof_subcase,
     verify_bound_exhaustive,
 )
+from mismax.canon import count_isomorphism_classes
 from mismax.counting import maximal_clique_counts
 from mismax.graph import Graph
 
-from conftest import random_graph
+from conftest import moon_moser_total, random_graph
 
 
 @pytest.fixture(scope="module")

@@ -40,6 +40,15 @@ def test_count_edge_list(capsys, monkeypatch):
     assert out == "graph=0 n=4 counts=0,0,3 total=3 poly=3x^2\n"
 
 
+# a header order past MAX_VERTICES is rejected before anything is sized by it
+@pytest.mark.parametrize("n", [-1, 1000000, 9223372036854775808])
+def test_count_edge_list_order_out_of_range(capsys, monkeypatch, n):
+    code, out, err = run(
+        capsys, ["count", "--format", "edgelist"], stdin=f"{n} 0\n", monkeypatch=monkeypatch
+    )
+    assert (code, out, err) == (2, "", f"error: vertex count {n} outside 0..64\n")
+
+
 def test_count_empty_input(capsys, monkeypatch):
     code, out, _ = run(capsys, ["count"], stdin="", monkeypatch=monkeypatch)
     assert code == 0
@@ -192,7 +201,7 @@ def test_verify_stream_stdin(capsys, monkeypatch):
 def test_verify_usage_errors(capsys):
     assert run(capsys, ["verify"])[0] == 2
     assert run(capsys, ["verify", "--n", "6"])[0] == 2
-    assert run(capsys, ["verify", "--n", "8", "--t", "2"])[0] == 2
+    assert run(capsys, ["verify", "--n", "9", "--t", "2"])[0] == 2
 
 
 def test_verify_parse_error(capsys, monkeypatch):
@@ -313,8 +322,7 @@ def test_verify_workers_clamped_to_cpus(capsys, monkeypatch, serial_pool):
         (["--n", "5"], "--n"),
         (["--workers", "0"], "--workers"),
         (["--workers", "1"], "--workers"),
-        (["--n8-opt-in"], "--n8-opt-in"),
-        (["--workers", "0", "--n8-opt-in"], "--workers and --n8-opt-in"),
+        (["--n", "5", "--workers", "0"], "--n and --workers"),
     ],
 )
 def test_verify_input_rejects_scan_flags(capsys, monkeypatch, flags, named):

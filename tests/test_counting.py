@@ -9,23 +9,27 @@ from mismax import (
     complete_graph,
     disjoint_union,
     empty_graph,
-    enumerate_mis,
     maximal_clique_size_profile,
-    maximal_independence_polynomial,
     mis_size_profile,
     oracle_mis_size_profile,
 )
 from mismax.counting import (
     _expand,
-    is_independent,
-    is_maximal_independent,
     maximal_clique_counts,
     polynomial_string,
 )
 from mismax.extremal import build_turan
 from mismax.graph import _complement_rows, bits, from_triangle_mask
 
-from conftest import cycle_graph, graphs, path_graph, random_graph
+from conftest import (
+    cycle_graph,
+    enumerate_mis,
+    graphs,
+    is_independent,
+    is_maximal_independent,
+    path_graph,
+    random_graph,
+)
 
 
 def mis_sets(g):
@@ -110,8 +114,8 @@ def test_clique_profile_c5():
 
 
 def test_polynomial():
-    assert maximal_independence_polynomial(complete_graph(3)) == [0, 3]
-    assert maximal_independence_polynomial(path_graph(4)) == [0, 0, 3]
+    assert mis_size_profile(complete_graph(3)).coefficients() == [0, 3]
+    assert mis_size_profile(path_graph(4)).coefficients() == [0, 0, 3]
 
 
 def test_polynomial_string():
@@ -131,9 +135,9 @@ def convolve(a, b):
 
 @given(graphs(max_n=6), graphs(max_n=6))
 def test_disjoint_union_product_rule(g1, g2):
-    p1 = maximal_independence_polynomial(g1)
-    p2 = maximal_independence_polynomial(g2)
-    p = maximal_independence_polynomial(disjoint_union(g1, g2))
+    p1 = mis_size_profile(g1).coefficients()
+    p2 = mis_size_profile(g2).coefficients()
+    p = mis_size_profile(disjoint_union(g1, g2)).coefficients()
     assert p == convolve(p1, p2)
 
 

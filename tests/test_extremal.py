@@ -1,5 +1,6 @@
 import multiprocessing
 import random
+import tracemalloc
 from functools import partial
 from itertools import combinations
 
@@ -22,8 +23,6 @@ from mismax import (
     maximal_clique_size_profile,
     min_degree,
     mis_size_profile,
-    moon_moser_total,
-    permute,
     proof_subcase,
     verify_bound_exhaustive,
     verify_bound_stream,
@@ -34,7 +33,14 @@ from mismax.counting import maximal_clique_counts
 from mismax.extremal import auto_split_vertex
 from mismax.graph import from_triangle_mask
 
-from conftest import graphs, path_graph, random_graph, rows_by_bit_walk
+from conftest import (
+    graphs,
+    moon_moser_total,
+    path_graph,
+    permute,
+    random_graph,
+    rows_by_bit_walk,
+)
 
 
 def test_bound_remark_values():
@@ -75,7 +81,7 @@ def test_build_H():
 def test_build_turan():
     t62 = build_turan(6, 2)
     assert t62.edge_count() == 9
-    assert all(not t62.has_edge(u, v) for u in range(3) for v in range(3) if u != v)
+    assert all(not t62.adj[u] >> v & 1 for u in range(3) for v in range(3) if u != v)
     t73 = build_turan(7, 3)
     # parts sized 2,2,3 in block order
     assert min_degree(t73) == 4
@@ -186,6 +192,27 @@ def test_proof_subcases():
     assert proof_subcase(build_turan(7, 3), 3) == "1b"
     assert proof_subcase(build_turan(6, 3), 3) == "2b"
     assert proof_subcase(complete_graph(6), 3) == "2a"
+
+
+@pytest.mark.parametrize(
+    "build,args,message",
+    [
+        (build_H, (3000, 3), "build_H needs t <= n <= 64, got n=3000, t=3"),
+        (build_turan, (1000, 2), "build_turan needs 1 <= k <= n <= 64, got n=1000, k=2"),
+    ],
+    ids=["H", "turan"],
+)
+def test_builders_check_order_first(build, args, message):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as exc:
+            build(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == message
+    # the C(1000,2)/2 Turan edges alone take tens of MB
+    assert peak < 1 << 20
 
 
 def test_moon_moser_total():
@@ -322,9 +349,9 @@ def test_verify_stream_empty_rejected():
 
 def test_verify_rejects_bad_args():
     with pytest.raises(ValueError):
-        verify_bound_exhaustive(8)  # needs opt-in
+        verify_bound_exhaustive(0)
     with pytest.raises(ValueError):
-        verify_bound_exhaustive(9, allow_n8=True)
+        verify_bound_exhaustive(9)
     with pytest.raises(ValueError):
         verify_bound_exhaustive(5, ts=[0])
     with pytest.raises(ValueError):

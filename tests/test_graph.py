@@ -1,6 +1,7 @@
 import itertools
 import random
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -21,7 +22,6 @@ from mismax import (
     maximal_clique_size_profile,
     min_degree,
     mis_size_profile,
-    permute,
 )
 from mismax import codec, counting, graph
 from mismax.extremal import build_turan
@@ -29,17 +29,36 @@ from mismax.graph import (
     _rows_from_mask,
     bits,
     from_triangle_mask,
-    set_of,
     triangle_mask,
     triangle_pairs,
 )
 
-from conftest import cycle_graph, graphs, path_graph, random_graph, rows_by_bit_walk
+from conftest import (
+    cycle_graph,
+    graphs,
+    path_graph,
+    permute,
+    random_graph,
+    rows_by_bit_walk,
+    set_of,
+)
 
 
 def test_from_edges_path():
     g = from_edges(4, [(0, 1), (1, 2), (2, 3)])
     assert g.edges() == [(0, 1), (1, 2), (2, 3)]
+
+
+def test_from_edges_checks_order_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^vertex count 1000000 outside 0\.\.64$"):
+            from_edges(10**6, [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a row list of 10^6 entries alone takes 8 MB
+    assert peak < 1 << 20
 
 
 def test_from_edges_triangle():

@@ -1,0 +1,43 @@
+"""Rules on the package source itself, checked by parsing it."""
+
+import ast
+from pathlib import Path
+
+import mismax
+
+PACKAGE = Path(mismax.__file__).resolve().parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    """Names a module loads, as a bare name or an attribute, outside the
+    top-level definition of the same name; imports do not count."""
+    names = set()
+    for stmt in tree.body:
+        used = {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(stmt)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        }
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            used.discard(stmt.name)
+        names |= used
+    return names
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    modules += sorted(PERFBENCH.glob("*.py"))
+    referenced = set().union(*(_referenced_names(ast.parse(p.read_text())) for p in modules))
+    assert sorted(set(mismax.__all__) - referenced) == []
+
+
+def test_no_assert_statements():
+    # python -O strips assert statements, so the library raises explicit errors
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
