@@ -10,12 +10,20 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import contextmanager
 from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .canon import CanonicalForm
-from .codec import CodecError, graph6_encode, read_edge_list, read_graph6_stream, write_edge_list
-from .counting import SizeProfile, mis_size_profile, polynomial_string
+from .codec import (
+    CodecError,
+    graph6_encode,
+    read_edge_list,
+    read_graph6_blocks,
+    read_graph6_stream,
+    write_edge_list,
+)
+from .counting import SizeProfile, mis_lane_counts, mis_size_profile, polynomial_string
 from .extremal import (
     AUTO,
     bound_f,
@@ -29,32 +37,33 @@ from .extremal import (
 from .graph import Graph
 
 
-def _open_input(path: str):
+@contextmanager
+def _opened(path: str):
     if path == "-":
-        return sys.stdin
-    return open(path, "r")
+        yield sys.stdin
+    else:
+        with open(path, "r") as fh:
+            yield fh
 
 
 def _read_graphs(path: str, fmt: str) -> Iterator[Graph]:
-    fh = _open_input(path)
-    try:
+    with _opened(path) as fh:
         if fmt == "graph6":
             yield from read_graph6_stream(fh)
         else:
             yield read_edge_list(fh.read())
-    finally:
-        if fh is not sys.stdin:
-            fh.close()
 
 
-def _parse_t_spec(spec: str) -> list[int]:
+def _parse_t_range(spec: str) -> tuple[int, int]:
+    """The first and last t of a single t or a range like 1..6."""
     if ".." in spec:
         lo, hi = spec.split("..", 1)
-        ts = list(range(int(lo), int(hi) + 1))
-        if not ts:
+        lo, hi = int(lo), int(hi)
+        if hi < lo:
             raise SystemExit2(f"empty t range {spec}")
-        return ts
-    return [int(spec)]
+        return lo, hi
+    t = int(spec)
+    return t, t
 
 
 @lru_cache(maxsize=4096)
@@ -75,20 +84,36 @@ def cmd_count(args: argparse.Namespace) -> int:
     csv = args.csv
     if csv:
         out.write("index,n,counts,total,poly\n")
-    for index, g in enumerate(_read_graphs(args.input, args.format)):
-        fields = _count_fields(mis_size_profile(g).counts, csv)
-        if csv:
-            out.write(f"{index},{g.n},{fields}\n")
+    index = 0
+    with _opened(args.input) as fh:
+        if args.format == "graph6":
+            items = read_graph6_blocks(fh)
         else:
-            out.write(f"graph={index} n={g.n} {fields}\n")
+            items = [read_edge_list(fh.read())]
+        for item in items:
+            if isinstance(item, Graph):
+                profiles = [mis_size_profile(item).counts]
+            else:  # a block: the tuple of each lane across the size columns
+                profiles = zip(*mis_lane_counts(item.n, item.size, item.columns))
+            n = item.n
+            for counts in profiles:
+                fields = _count_fields(counts, csv)
+                if csv:
+                    out.write(f"{index},{n},{fields}\n")
+                else:
+                    out.write(f"graph={index} n={n} {fields}\n")
+                index += 1
     return 0
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    # every row is computed before the header, so a bad n or t prints nothing
-    rows = [bound_f(args.n, t) for t in _parse_t_spec(args.t)]
+    # bound_f rejects a bad n or a t below 1, so the first t checks every row
+    # before the header: an error prints nothing, and the rows stream after it
+    lo, hi = _parse_t_range(args.t)
+    bound_f(args.n, lo)
     sys.stdout.write("n,t,q,r,f\n")
-    for d in rows:
+    for t in range(lo, hi + 1):
+        d = bound_f(args.n, t)
         sys.stdout.write(f"{d.n},{d.t},{d.q},{d.r},{d.f}\n")
     return 0
 
@@ -231,11 +256,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _any_int_digits():
+    """Lift Python's cap on int -> str digits (4300 since 3.11, and in the
+    3.10 security releases) while the block runs: f(n,t) can be longer."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _any_int_digits():
+            return args.func(args)
     except (CodecError, ValueError, SystemExit2, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import io
+from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from operator import getitem
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 from .graph import (
     _TABLE_MAX_N,
@@ -19,6 +22,16 @@ from .graph import (
 GRAPH6_HEADER = ">>graph6<<"
 GRAPH6_MAX_N = 62
 _GRAPH6_CHARS = bytes(range(63, 127))
+
+# Characters read_graph6_blocks reads at a time: 2,048 lines of order 9. A
+# larger block spreads the lane kernel's per-set cost over more graphs and
+# raises the peak memory of count.
+_BLOCK_CHARS = 1 << 14
+_LINE_CHARS = _GRAPH6_CHARS + b"\n"
+# entry pad: the data characters whose low pad bits are zero
+_ZERO_PAD_CHARS = tuple(
+    bytes(c for c in _GRAPH6_CHARS if not (c - 63) & ((1 << pad) - 1)) for pad in range(6)
+)
 
 
 class CodecError(ValueError):
@@ -137,13 +150,14 @@ def write_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_graph6_stream(lines: Iterable[str]) -> Iterator[Graph]:
-    """Yield graphs from graph6 lines in file order; errors carry line numbers.
+def read_graph6_stream(lines: Iterable[str], start: int = 1) -> Iterator[Graph]:
+    """Yield graphs from graph6 lines in file order; errors carry line numbers,
+    the first line numbered start.
 
     A blank final line is ignored; blank lines elsewhere are malformed.
     """
     pending_blank: int | None = None
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(lines, start=start):
         if not raw.strip():
             if pending_blank is None:
                 pending_blank = lineno
@@ -154,3 +168,69 @@ def read_graph6_stream(lines: Iterable[str]) -> Iterator[Graph]:
             yield graph6_decode(raw)
         except CodecError as exc:
             raise CodecError(str(exc), line=lineno) from None
+
+
+@dataclass(frozen=True)
+class Graph6Block:
+    """`size` graph6 lines of one order n, by column: columns[c] holds data
+    character c (the one after the order character) of every line, byte g
+    from line g."""
+
+    n: int
+    size: int
+    columns: tuple[bytes, ...]
+
+
+def _graph6_block(text: str) -> Graph6Block | None:
+    """The lines of text as one block, or None unless every line is a bare
+    short-form graph6 string of one order n <= _TABLE_MAX_N that
+    graph6_decode accepts, ended by a newline. Checked on the whole text,
+    with no object per line."""
+    if not text.isascii():
+        return None
+    raw = text.encode("ascii")
+    n = raw[0] - 63
+    if not 0 <= n <= _TABLE_MAX_N:
+        return None
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    stride = nbytes + 2
+    size, extra = divmod(len(raw), stride)
+    # a newline at the end of each stride and nowhere else: lines of one length
+    if extra or raw.count(b"\n") != size or raw[stride - 1::stride].count(b"\n") != size:
+        return None
+    if raw[::stride].count(raw[:1]) != size or raw.translate(None, _LINE_CHARS):
+        return None
+    pad = 6 * nbytes - nbits
+    if pad and raw[stride - 2::stride].translate(None, _ZERO_PAD_CHARS[pad]):
+        return None
+    return Graph6Block(n, size, tuple(raw[c::stride] for c in range(1, nbytes + 1)))
+
+
+def read_graph6_blocks(fh: TextIO) -> Iterator[Graph6Block | Graph]:
+    """Yield the graphs of a graph6 text stream, in file order, as blocks of
+    same-order lines where it can.
+
+    The text is read _BLOCK_CHARS characters at a time and cut after its
+    last newline. Each cut that _graph6_block takes comes out as one
+    Graph6Block. From the first cut it does not take, the rest of the stream
+    goes lazily through read_graph6_stream, one Graph per line, with the line
+    numbers running on, so its errors name the same line as for the whole
+    stream.
+    """
+    lineno = 1
+    text = ""
+    while True:
+        chunk = fh.read(_BLOCK_CHARS)
+        text += chunk
+        cut = text.rfind("\n") + 1
+        block = _graph6_block(text[:cut]) if chunk and cut else None
+        if block is None:
+            break
+        yield block
+        lineno += block.size
+        text = text[cut:]
+    # the rest of the line the text stops in, so it splits into the file's lines
+    if chunk:
+        text += fh.readline()
+    yield from read_graph6_stream(chain(io.StringIO(text), fh), start=lineno)

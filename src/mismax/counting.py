@@ -4,19 +4,33 @@ Maximal independent sets are counted as the maximal cliques of the
 complement graph. Up to _TABLE_MAX_N vertices the counter scans all 2^n
 vertex sets at once, one bit per set in a big-int bitset; above it, and
 where the proof trace visits the cliques one by one, it runs pivoted
-Bron-Kerbosch. A per-subset oracle provides an independent cross-check for
-small orders.
+Bron-Kerbosch. A block of graph6 lines of one order is counted by one
+depth-first search over vertex sets, one graph per byte lane of each big
+int. A per-subset oracle provides an independent cross-check for small
+orders.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import repeat
+from operator import and_, or_
+from typing import Sequence
 
-from .graph import _TABLE_MAX_N, Graph, _complement_rows
+from .graph import _TABLE_MAX_N, Graph, _complement_rows, triangle_pairs
 
 ORACLE_MAX_N = 24
+
+# Largest count a byte lane of mis_lane_counts holds.
+_LANE_MAX = 255
+
+# Entry b maps a graph6 data character to 1 where its bit b, counted from the
+# most significant of its 6 bits, is clear: the pair at that bit is a non-edge.
+_NONEDGE_TABLES = tuple(
+    bytes(1 - ((x - 63) >> (5 - b) & 1) if 63 <= x <= 126 else 0 for x in range(256))
+    for b in range(6)
+)
 
 
 @dataclass(frozen=True)
@@ -115,6 +129,48 @@ def _subset_counts(adj: tuple[int, ...], n: int, complement: bool) -> list[int]:
         bad |= sets ^ sub[row ^ flip]
     kept = sub[-1] & ~bad
     return [(kept & sets).bit_count() for sets in layer]
+
+
+def mis_lane_counts(n: int, lanes: int, columns: Sequence[bytes]) -> list[bytes]:
+    """Per-size counts of the maximal independent sets of a block of `lanes`
+    graphs of order n, one graph per byte lane: byte g of entry s is the
+    number of maximal independent sets of size s in graph g.
+
+    columns[c] holds data character c of every graph's short-form graph6
+    string, byte g for graph g, as read_graph6_blocks checks and cuts them.
+    The bit of pair p (triangle_pairs order) lies in column p // 6, so one
+    translate of that column gives its non-edge plane: a big int with byte g
+    set to 1 where graph g lacks the pair.
+
+    A depth-first search visits the vertex sets S in ascending order, with
+    the lanes ind where S is independent and, per vertex v, the lanes free[v]
+    where v has no neighbour in S. A member of S has free[v] = 0, since no
+    vertex is its own non-neighbour, so S is maximal on the lanes of ind that
+    no free[v] covers. A child S + u, u above every member, is independent on
+    ind & free[u]; it is skipped when no lane is left.
+
+    A lane only ever gains 0 or 1 per set, so it never carries into the
+    next: a graph on n vertices has at most 3^(n/3) maximal independent sets
+    (Moon-Moser), and an order where that could pass _LANE_MAX raises.
+    """
+    if 3 ** n > _LANE_MAX ** 3:
+        raise ValueError(f"lane counts need 3^(n/3) <= {_LANE_MAX}, got n={n}")
+    nonedge = [[0] * n for _ in range(n)]
+    for p, (i, j) in enumerate(triangle_pairs(n)):
+        plane = int.from_bytes(columns[p // 6].translate(_NONEDGE_TABLES[p % 6]), "little")
+        nonedge[i][j] = nonedge[j][i] = plane
+    everywhere = int.from_bytes(b"\x01" * lanes, "little")
+    counts = [0] * (n + 1)
+
+    def visit(size: int, ind: int, free: list[int], start: int) -> None:
+        counts[size] += ind & ~reduce(or_, free, 0)
+        for u in range(start, n):
+            child = ind & free[u]
+            if child:
+                visit(size + 1, child, list(map(and_, free, nonedge[u])), u + 1)
+
+    visit(0, everywhere, [everywhere] * n, 0)
+    return [c.to_bytes(lanes, "little") for c in counts]
 
 
 def maximal_clique_counts(adj: tuple[int, ...], n: int) -> list[int]:

@@ -3,13 +3,21 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import mismax
-from mismax import graph6_decode, graph6_encode, mis_size_profile
-from mismax.cli import _count_fields, main
+from mismax import (
+    CodecError,
+    graph6_decode,
+    graph6_encode,
+    mis_size_profile,
+    read_graph6_stream,
+)
+from mismax.cli import _any_int_digits, _count_fields, main
+from mismax.codec import _BLOCK_CHARS
 from mismax.counting import polynomial_string
 
 from conftest import random_graph
@@ -103,6 +111,102 @@ def test_count_lines_match_profiles(capsys, monkeypatch, csv):
     assert code == 0 and again == out
 
 
+def count_line_by_line(text):
+    """(exit code, stdout, stderr) of count with every line decoded and
+    counted on its own, the reference for the block path."""
+    out = []
+    try:
+        for index, g in enumerate(read_graph6_stream(io.StringIO(text))):
+            out.append(f"graph={index} n={g.n} {_count_fields(mis_size_profile(g).counts, False)}\n")
+    except CodecError as exc:
+        return 2, "".join(out), f"error: {exc}\n"
+    return 0, "".join(out), ""
+
+
+def count_cases(block_chars):
+    """name -> count input; the 9-vertex lines are 8 characters with the
+    newline, so line block_chars // 8 of a stream of them lies at the first
+    block boundary, and the defects sit in the second block."""
+    rng = random.Random(1212)
+
+    def lines(n, k):
+        return [graph6_encode(random_graph(rng, n, (0.1, 0.5, 0.9)[i % 3])) for i in range(k)]
+
+    k = block_chars // 8
+    n9 = lines(9, 2 * k + 5)
+
+    def text(ls, newline="\n"):
+        return newline.join(ls) + newline
+
+    def replaced(index, line):
+        return text(n9[:index] + [line] + n9[index + 1:])
+
+    at = block_chars // 7 + 2  # in the second block of 8-vertex lines, 7 characters each
+    n8 = lines(8, at + 3)
+    bad_pad = n8[at][:-1] + chr(ord(n8[at][-1]) + 1)  # the lowest pad bit of order 8
+    cases = {
+        "n0": text(["?"] * block_chars),
+        "n1": text(["@"] * (block_chars // 2 + 3)),
+        "n12": text(lines(12, block_chars // 13 + 2)),
+        "n13": text(lines(13, 4)),
+        "mixed orders in a block": text(n9[:k] + lines(8, 3) + n9[k:]),
+        # orders 0 and 1, and 2, 3 and 4, have lines of one length
+        "orders 0 and 1": text(["?", "@"] * (block_chars // 2)),
+        "orders 2 to 4": text(["A_", "Bw", "C~"] * (block_chars // 4)),
+        "one order per block": text(n9[:k] + lines(10, 2 * k)),
+        "empty": "",
+        "blank final line": text(n9) + "\n",
+        "no final newline": "\n".join(n9),
+        "crlf": text(n9, newline="\r\n"),
+        "header": ">>graph6<<" + text(n9),
+        "header later": replaced(k + 2, ">>graph6<<" + n9[k + 2]),
+        "bad character": replaced(k + 2, n9[k + 2][:3] + " " + n9[k + 2][4:]),
+        "bad padding": text(n8[:at] + [bad_pad] + n8[at + 1:]),
+        "wrong length": replaced(k + 2, n9[k + 2] + "?"),
+        "too short": replaced(2 * k, n9[2 * k][:-1]),
+        # a stride after the short line starts, the long one has an order character
+        "one short, one long": text(
+            n9[:k + 2] + [n9[k + 2][:-1], "H" + n9[k + 3]] + n9[k + 4:]
+        ),
+        # the line ends where the next one would start
+        "newline inside a line": replaced(k + 2, n9[k + 2][:3] + "\n" + n9[k + 2][4:]),
+        "non-ascii": replaced(k + 2, n9[k + 2][:-1] + "\u00e9"),
+    }
+    for at in range(k - 2, k + 3):
+        cases[f"blank line {at - k:+d} from the boundary"] = text(n9[:at] + [""] + n9[at:])
+    return cases
+
+
+@pytest.mark.parametrize("block_chars", [_BLOCK_CHARS, 64])
+def test_count_blocks_match_line_by_line(capsys, monkeypatch, block_chars):
+    monkeypatch.setattr("mismax.codec._BLOCK_CHARS", block_chars)
+    for name, text in count_cases(block_chars).items():
+        got = run(capsys, ["count"], stdin=text, monkeypatch=monkeypatch)
+        assert got == count_line_by_line(text), name
+
+
+def test_count_cases_cover_every_outcome():
+    # twelve inputs fail, and every input but the empty one prints lines first
+    outcomes = {name: count_line_by_line(text) for name, text in count_cases(64).items()}
+    assert sum(code == 2 for code, _, _ in outcomes.values()) == 12
+    assert [name for name, (_, out, _) in outcomes.items() if not out] == ["empty"]
+
+
+@pytest.mark.parametrize(
+    "name", ["bad padding", "blank line +1 from the boundary", "no final newline"]
+)
+def test_count_blocks_match_line_by_line_on_a_pipe(name):
+    # a real stdin reads in blocks of _BLOCK_CHARS characters
+    text = count_cases(_BLOCK_CHARS)[name]
+    src = str(Path(mismax.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "mismax.cli", "count"],
+        input=text, env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == count_line_by_line(text)
+
+
 def test_count_format_cache_is_bounded():
     assert _count_fields.cache_info().maxsize is not None
 
@@ -141,6 +245,44 @@ def test_bound_rejects_t0(capsys):
 def test_bound_errors_print_no_header(capsys, argv, message):
     code, out, err = run(capsys, argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_bound_f_beyond_the_int_string_limit(capsys):
+    # 2^50000 has 15,052 digits, past the 4,300 Python 3.11 prints by default
+    code, out, err = run(capsys, ["bound", "100000", "50000"])
+    assert (code, err) == (0, "")
+    header, row, rest = out.split("\n")
+    assert (header, rest) == ("n,t,q,r,f", "")
+    prefix, f = row.rsplit(",", 1)
+    assert prefix == "100000,50000,2,0"
+    with _any_int_digits():  # main restored the cap on return
+        assert int(f) == 2 ** 50000
+
+
+class LineCounter:
+    """A stdout that keeps only its line count and last line."""
+
+    def __init__(self):
+        self.lines = 0
+        self.last = ""
+
+    def write(self, text):
+        self.lines += text.count("\n")
+        self.last = text
+
+
+def test_bound_streams_its_rows(monkeypatch):
+    sink = LineCounter()
+    monkeypatch.setattr("sys.stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["bound", "5", "1..200000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert (sink.lines, sink.last) == (200001, "5,200000,0,5,0\n")
+    assert peak < 5 * 2**20
 
 
 def test_extremal_graph6(capsys):

@@ -1,3 +1,4 @@
+import io
 import random
 
 import pytest
@@ -13,6 +14,8 @@ from mismax import (
     read_graph6_stream,
     write_edge_list,
 )
+
+from mismax.codec import Graph6Block, _graph6_block, read_graph6_blocks
 
 from conftest import path_graph, random_graph, rows_by_bit_walk
 
@@ -212,3 +215,54 @@ def test_decode_error_messages_and_lines(n):
             list(read_graph6_stream(valid + [line + "\n", valid[0]]))
         assert str(exc.value) == f"line 3: {message}"
         assert exc.value.line == 3
+
+
+def text_of(lines):
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 9, 10, 12])
+def test_graph6_block_cuts_valid_lines_into_columns(n):
+    rng = random.Random(n)
+    lines = [graph6_of_mask(n, rng.getrandbits(n * (n - 1) // 2)) for _ in range(20)]
+    columns = tuple(bytes(ord(line[c]) for line in lines) for c in range(1, len(lines[0])))
+    assert _graph6_block(text_of(lines)) == Graph6Block(n, 20, columns)
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_graph6_block_refuses_what_decode_refuses(n):
+    valid = [graph6_of_mask(n, 0), graph6_of_mask(n, 1)]
+    for line, _ in malformed_lines(n):
+        assert _graph6_block(text_of(valid + [line] + valid)) is None, line
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "Bw\nB",  # no final newline
+        "Bw\n\nBw\n",
+        "Bw\r\n",
+        " Bw\n",
+        "A_\nBw\n",  # orders 2 and 3 have lines of one length
+        "@\n?\n",
+        graph6_of_mask(13, 0) + "\n",  # above the lane kernel's orders
+    ],
+)
+def test_graph6_block_refuses_other_layouts(text):
+    assert _graph6_block(text) is None
+
+
+def test_read_graph6_blocks_goes_line_by_line_from_the_first_refused_block(monkeypatch):
+    monkeypatch.setattr("mismax.codec._BLOCK_CHARS", 8)
+    # the first 8 characters hold two whole lines; the next cut mixes orders
+    items = list(read_graph6_blocks(io.StringIO("Bw\nBo\nBw\nBo\nA_\nBw\n")))
+    assert items[0] == Graph6Block(3, 2, (b"wo",))
+    assert items[1:] == [graph6_decode(line) for line in ["Bw", "Bo", "A_", "Bw"]]
+    with pytest.raises(CodecError, match="^line 5: "):
+        list(read_graph6_blocks(io.StringIO("Bw\nBo\nBw\nBo\nA\n")))
+
+
+def test_read_graph6_stream_numbers_from_start():
+    with pytest.raises(CodecError) as exc:
+        list(read_graph6_stream(["A_\n", "A\n"], start=41))
+    assert exc.value.line == 42

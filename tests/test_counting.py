@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given
 
 from mismax import (
+    build_H,
     complement,
     graph6_decode,
+    graph6_encode,
     complete_graph,
     disjoint_union,
     empty_graph,
@@ -14,8 +16,11 @@ from mismax import (
     oracle_mis_size_profile,
 )
 from mismax.counting import (
+    _LANE_MAX,
     _expand,
+    _subset_counts,
     maximal_clique_counts,
+    mis_lane_counts,
     polynomial_string,
 )
 from mismax.extremal import build_turan
@@ -221,3 +226,49 @@ def test_profile_matches_oracle_at_the_edges(n):
     for p in (0.2, 0.5, 0.8):
         g = random_graph(rng, n, p)
         assert mis_size_profile(g) == oracle_mis_size_profile(g)
+
+
+def lane_profiles(graphs):
+    """The per-graph count tuples of mis_lane_counts on one block of
+    same-order graphs, its columns cut here from the graph6 strings."""
+    lines = [graph6_encode(g) for g in graphs]
+    n = graphs[0].n
+    columns = [bytes(ord(line[c]) for line in lines) for c in range(1, len(lines[0]))]
+    return list(zip(*mis_lane_counts(n, len(lines), columns)))
+
+
+def subset_profiles(graphs):
+    return [tuple(_subset_counts(g.adj, g.n, True)) for g in graphs]
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_lane_counts_match_subset_scan_every_graph_up_to_5(n):
+    graphs = [from_triangle_mask(n, mask) for mask in range(1 << (n * (n - 1) // 2))]
+    assert lane_profiles(graphs) == subset_profiles(graphs)
+
+
+@pytest.mark.parametrize("n", range(6, 13))
+@pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+def test_lane_counts_match_subset_scan_seeded_blocks(n, p):
+    rng = random.Random(1200 + 10 * n + int(10 * p))
+    graphs = [random_graph(rng, n, p) for _ in range(40)]
+    assert lane_profiles(graphs) == subset_profiles(graphs)
+
+
+def test_lane_counts_reach_moon_moser_without_carry():
+    # H(12,4) = 4 K3 has 81 maximal independent sets, the most on 12
+    # vertices; lanes of 81 next to lanes of 1 show any carry between bytes
+    graphs = [build_H(12, 4), complete_graph(12)] * 50
+    assert lane_profiles(graphs) == [(0,) * 4 + (81,) + (0,) * 8, (0, 12) + (0,) * 11] * 50
+
+
+def test_lane_counts_empty_order_and_block():
+    assert mis_lane_counts(0, 3, []) == [b"\x01\x01\x01"]
+    assert mis_lane_counts(4, 0, [b""]) == [b""] * 5
+
+
+def test_lane_counts_refuse_orders_that_could_pass_a_byte():
+    # a lane holds at most _LANE_MAX; Moon-Moser allows 3^(n/3) sets
+    assert 3 ** 15 <= _LANE_MAX ** 3 < 3 ** 16
+    with pytest.raises(ValueError, match="got n=16"):
+        mis_lane_counts(16, 1, [b"?"] * 20)
