@@ -66,17 +66,23 @@ def _parse_t_range(spec: str) -> tuple[int, int]:
     return t, t
 
 
+# Lines of a block that count formats and writes at once; one join per block
+# would hold every line of a 16,384-graph block in memory.
+_WRITE_LINES = 2048
+
+
 @lru_cache(maxsize=4096)
-def _count_fields(counts: tuple[int, ...], csv: bool) -> str:
-    """The fields of a count line after n. Streams repeat few distinct
-    profiles, so each is formatted once; the cap bounds the memory."""
-    profile = SizeProfile(len(counts) - 1, counts)
+def _count_fields(counts: Sequence[int], csv: bool) -> str:
+    """A count line after its index, from n to the newline, for the counts
+    of sizes 0..n. Streams repeat few distinct profiles, so each is
+    formatted once; the cap bounds the memory."""
+    profile = SizeProfile(len(counts) - 1, tuple(counts))
     coeffs = profile.coefficients()
     counts_str = ",".join(str(c) for c in coeffs)
     poly = polynomial_string(coeffs)
     if csv:
-        return f'"{counts_str}",{profile.total()},{poly}'
-    return f"counts={counts_str} total={profile.total()} poly={poly}"
+        return f'{profile.n},"{counts_str}",{profile.total()},{poly}\n'
+    return f"n={profile.n} counts={counts_str} total={profile.total()} poly={poly}\n"
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -84,6 +90,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     csv = args.csv
     if csv:
         out.write("index,n,counts,total,poly\n")
+    head, sep = ("", ",") if csv else ("graph=", " ")
     index = 0
     with _opened(args.input) as fh:
         if args.format == "graph6":
@@ -92,17 +99,25 @@ def cmd_count(args: argparse.Namespace) -> int:
             items = [read_edge_list(fh.read())]
         for item in items:
             if isinstance(item, Graph):
-                profiles = [mis_size_profile(item).counts]
-            else:  # a block: the tuple of each lane across the size columns
-                profiles = zip(*mis_lane_counts(item.n, item.size, item.columns))
-            n = item.n
-            for counts in profiles:
-                fields = _count_fields(counts, csv)
-                if csv:
-                    out.write(f"{index},{n},{fields}\n")
-                else:
-                    out.write(f"graph={index} n={n} {fields}\n")
+                fields = _count_fields(mis_size_profile(item).counts, csv)
+                out.write(f"{head}{index}{sep}{fields}")
                 index += 1
+                continue
+            # a block: its size columns interleaved, so that the counts of
+            # graph g are the slice rows[g*k:(g+1)*k], as bytes, which the
+            # format cache can hash
+            k = item.n + 1
+            rows = bytearray(k * item.size)
+            for s, column in enumerate(mis_lane_counts(item.n, item.size, item.columns)):
+                rows[s::k] = column
+            rows = bytes(rows)
+            for first in range(0, item.size, _WRITE_LINES):
+                graphs = range(first, min(first + _WRITE_LINES, item.size))
+                out.write("".join([
+                    f"{head}{index + g}{sep}{_count_fields(rows[g * k:g * k + k], csv)}"
+                    for g in graphs
+                ]))
+            index += item.size
     return 0
 
 

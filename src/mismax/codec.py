@@ -23,10 +23,11 @@ GRAPH6_HEADER = ">>graph6<<"
 GRAPH6_MAX_N = 62
 _GRAPH6_CHARS = bytes(range(63, 127))
 
-# Characters read_graph6_blocks reads at a time: 2,048 lines of order 9. A
-# larger block spreads the lane kernel's per-set cost over more graphs and
-# raises the peak memory of count.
-_BLOCK_CHARS = 1 << 14
+# Characters read_graph6_blocks reads at a time: 16,384 lines of order 9.
+# The lane kernel's search visits about the same vertex sets whatever the
+# block size, so a larger block spreads each set's cost over more graphs;
+# it also raises the peak memory of count.
+_BLOCK_CHARS = 1 << 17
 _LINE_CHARS = _GRAPH6_CHARS + b"\n"
 # entry pad: the data characters whose low pad bits are zero
 _ZERO_PAD_CHARS = tuple(
@@ -184,8 +185,11 @@ class Graph6Block:
 def _graph6_block(text: str) -> Graph6Block | None:
     """The lines of text as one block, or None unless every line is a bare
     short-form graph6 string of one order n <= _TABLE_MAX_N that
-    graph6_decode accepts, ended by a newline. Checked on the whole text,
+    graph6_decode accepts, ended by a newline. A header before the first
+    line is skipped, as graph6_decode skips it. Checked on the whole text,
     with no object per line."""
+    if text.startswith(GRAPH6_HEADER):
+        text = text[len(GRAPH6_HEADER):]
     if not text.isascii():
         return None
     raw = text.encode("ascii")
@@ -213,10 +217,11 @@ def read_graph6_blocks(fh: TextIO) -> Iterator[Graph6Block | Graph]:
 
     The text is read _BLOCK_CHARS characters at a time and cut after its
     last newline. Each cut that _graph6_block takes comes out as one
-    Graph6Block. From the first cut it does not take, the rest of the stream
-    goes lazily through read_graph6_stream, one Graph per line, with the line
-    numbers running on, so its errors name the same line as for the whole
-    stream.
+    Graph6Block. A cut it refuses, with the rest of the line the cut stops
+    in, goes through read_graph6_stream, one Graph per line, and the next
+    cut starts after it. The line numbers run on, so the errors name the
+    same line as for the whole stream. From a refused cut whose last line is
+    blank, the rest of the stream goes line by line.
     """
     lineno = 1
     text = ""
@@ -224,12 +229,22 @@ def read_graph6_blocks(fh: TextIO) -> Iterator[Graph6Block | Graph]:
         chunk = fh.read(_BLOCK_CHARS)
         text += chunk
         cut = text.rfind("\n") + 1
-        block = _graph6_block(text[:cut]) if chunk and cut else None
-        if block is None:
+        if not (chunk and cut):
             break
-        yield block
-        lineno += block.size
-        text = text[cut:]
+        block = _graph6_block(text[:cut])
+        if block is not None:
+            yield block
+            lineno += block.size
+            text = text[cut:]
+            continue
+        text += fh.readline()
+        if not text[text.rfind("\n", 0, -1) + 1:].strip():
+            # a blank line is an error only if a line follows it
+            yield from read_graph6_stream(chain(io.StringIO(text), fh), start=lineno)
+            return
+        yield from read_graph6_stream(io.StringIO(text), start=lineno)
+        lineno += text.count("\n")
+        text = ""
     # the rest of the line the text stops in, so it splits into the file's lines
     if chunk:
         text += fh.readline()

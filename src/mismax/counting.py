@@ -5,9 +5,9 @@ complement graph. Up to _TABLE_MAX_N vertices the counter scans all 2^n
 vertex sets at once, one bit per set in a big-int bitset; above it, and
 where the proof trace visits the cliques one by one, it runs pivoted
 Bron-Kerbosch. A block of graph6 lines of one order is counted by one
-depth-first search over vertex sets, one graph per byte lane of each big
-int. A per-subset oracle provides an independent cross-check for small
-orders.
+depth-first search over vertex sets, one graph per bit lane of each big int,
+into bit-sliced counters. A per-subset oracle provides an independent
+cross-check for small orders.
 """
 
 from __future__ import annotations
@@ -22,15 +22,18 @@ from .graph import _TABLE_MAX_N, Graph, _complement_rows, triangle_pairs
 
 ORACLE_MAX_N = 24
 
-# Largest count a byte lane of mis_lane_counts holds.
+# Largest count a byte lane of mis_lane_counts' result holds.
 _LANE_MAX = 255
 
-# Entry b maps a graph6 data character to 1 where its bit b, counted from the
-# most significant of its 6 bits, is clear: the pair at that bit is a non-edge.
-_NONEDGE_TABLES = tuple(
-    bytes(1 - ((x - 63) >> (5 - b) & 1) if 63 <= x <= 126 else 0 for x in range(256))
+# Entry b maps a graph6 data character to the digit "1" where its bit b,
+# counted from the most significant of its 6 bits, is clear: the pair at that
+# bit is a non-edge.
+_NONEDGE_DIGITS = tuple(
+    bytes(ord("1") - ((x - 63) >> (5 - b) & 1) if 63 <= x <= 126 else ord("0") for x in range(256))
     for b in range(6)
 )
+# "0"/"1" to the byte 0/1, for the lanes of a counter's plane
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True)
@@ -133,14 +136,14 @@ def _subset_counts(adj: tuple[int, ...], n: int, complement: bool) -> list[int]:
 
 def mis_lane_counts(n: int, lanes: int, columns: Sequence[bytes]) -> list[bytes]:
     """Per-size counts of the maximal independent sets of a block of `lanes`
-    graphs of order n, one graph per byte lane: byte g of entry s is the
-    number of maximal independent sets of size s in graph g.
+    graphs of order n: byte g of entry s is the number of maximal
+    independent sets of size s in graph g.
 
     columns[c] holds data character c of every graph's short-form graph6
     string, byte g for graph g, as read_graph6_blocks checks and cuts them.
-    The bit of pair p (triangle_pairs order) lies in column p // 6, so one
-    translate of that column gives its non-edge plane: a big int with byte g
-    set to 1 where graph g lacks the pair.
+    The bit of pair p (triangle_pairs order) lies in column p // 6, and one
+    translate of that column to binary digits, reversed, gives its non-edge
+    plane: a big int with bit g set where graph g lacks the pair.
 
     A depth-first search visits the vertex sets S in ascending order, with
     the lanes ind where S is independent and, per vertex v, the lanes free[v]
@@ -149,28 +152,48 @@ def mis_lane_counts(n: int, lanes: int, columns: Sequence[bytes]) -> list[bytes]
     no free[v] covers. A child S + u, u above every member, is independent on
     ind & free[u]; it is skipped when no lane is left.
 
-    A lane only ever gains 0 or 1 per set, so it never carries into the
-    next: a graph on n vertices has at most 3^(n/3) maximal independent sets
-    (Moon-Moser), and an order where that could pass _LANE_MAX raises.
+    The counts are bit-sliced: size s keeps a list of planes, plane k holding
+    bit k of every lane's count, and a maximal plane is added with a ripple
+    carry. At the end plane k becomes a byte per lane shifted by k. The
+    bytes cannot carry into each other: a graph on n vertices has at most
+    3^(n/3) maximal independent sets (Moon-Moser), and an order where that
+    could pass _LANE_MAX raises.
     """
     if 3 ** n > _LANE_MAX ** 3:
         raise ValueError(f"lane counts need 3^(n/3) <= {_LANE_MAX}, got n={n}")
+    if not lanes:
+        return [b""] * (n + 1)
     nonedge = [[0] * n for _ in range(n)]
     for p, (i, j) in enumerate(triangle_pairs(n)):
-        plane = int.from_bytes(columns[p // 6].translate(_NONEDGE_TABLES[p % 6]), "little")
+        plane = int(columns[p // 6].translate(_NONEDGE_DIGITS[p % 6])[::-1], 2)
         nonedge[i][j] = nonedge[j][i] = plane
-    everywhere = int.from_bytes(b"\x01" * lanes, "little")
-    counts = [0] * (n + 1)
+    everywhere = (1 << lanes) - 1
+    counters: list[list[int]] = [[] for _ in range(n + 1)]
 
     def visit(size: int, ind: int, free: list[int], start: int) -> None:
-        counts[size] += ind & ~reduce(or_, free, 0)
+        carry = ind & ~reduce(or_, free, 0)
+        if carry:
+            planes = counters[size]
+            for k, plane in enumerate(planes):
+                planes[k] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+            else:
+                planes.append(carry)
         for u in range(start, n):
             child = ind & free[u]
             if child:
                 visit(size + 1, child, list(map(and_, free, nonedge[u])), u + 1)
 
     visit(0, everywhere, [everywhere] * n, 0)
-    return [c.to_bytes(lanes, "little") for c in counts]
+    return [
+        sum(
+            int.from_bytes(format(plane, "b")[::-1].encode().translate(_DIGIT_BYTES), "little") << k
+            for k, plane in enumerate(planes)
+        ).to_bytes(lanes, "little")
+        for planes in counters
+    ]
 
 
 def maximal_clique_counts(adj: tuple[int, ...], n: int) -> list[int]:

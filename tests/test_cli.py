@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -117,16 +118,22 @@ def count_line_by_line(text):
     out = []
     try:
         for index, g in enumerate(read_graph6_stream(io.StringIO(text))):
-            out.append(f"graph={index} n={g.n} {_count_fields(mis_size_profile(g).counts, False)}\n")
+            coeffs = mis_size_profile(g).coefficients()
+            out.append(
+                f"graph={index} n={g.n} counts={','.join(map(str, coeffs))} "
+                f"total={sum(coeffs)} poly={polynomial_string(coeffs)}\n"
+            )
     except CodecError as exc:
         return 2, "".join(out), f"error: {exc}\n"
     return 0, "".join(out), ""
 
 
+@lru_cache(maxsize=2)
 def count_cases(block_chars):
     """name -> count input; the 9-vertex lines are 8 characters with the
     newline, so line block_chars // 8 of a stream of them lies at the first
-    block boundary, and the defects sit in the second block."""
+    block boundary, and the defects sit in the second block. Cached, since
+    a real-size block takes seconds to build; callers only read it."""
     rng = random.Random(1212)
 
     def lines(n, k):
@@ -283,6 +290,29 @@ def test_bound_streams_its_rows(monkeypatch):
     assert code == 0
     assert (sink.lines, sink.last) == (200001, "5,200000,0,5,0\n")
     assert peak < 5 * 2**20
+
+
+def test_count_memory_stays_flat_over_blocks(monkeypatch):
+    # three full blocks and a partial one of random 9-vertex lines; a block
+    # of lines formatted and joined at once would peak at about 4.8 MB
+    rng = random.Random(1313)
+    lines = 3 * (_BLOCK_CHARS // 8) + 100
+    text = "".join(
+        "H" + "".join(chr(63 + rng.getrandbits(6)) for _ in range(6)) + "\n" for _ in range(lines)
+    )
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    sink = LineCounter()
+    monkeypatch.setattr("sys.stdout", sink)
+    _count_fields.cache_clear()
+    tracemalloc.start()
+    try:
+        code = main(["count"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, sink.lines) == (0, lines)
+    assert sink.last.startswith(f"graph={lines - 100} n=9 ")
+    assert peak < 3 * 2**20
 
 
 def test_extremal_graph6(capsys):

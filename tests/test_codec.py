@@ -262,6 +262,38 @@ def test_read_graph6_blocks_goes_line_by_line_from_the_first_refused_block(monke
         list(read_graph6_blocks(io.StringIO("Bw\nBo\nBw\nBo\nA\n")))
 
 
+def test_read_graph6_blocks_skip_a_header(monkeypatch):
+    # 40 lines of order 9, 8 characters with the newline; the header and 6
+    # lines fill the first 64-character cut, 8 lines each later one
+    monkeypatch.setattr("mismax.codec._BLOCK_CHARS", 64)
+    lines = [graph6_of_mask(9, mask * 0x2F1D3) for mask in range(40)]
+    items = list(read_graph6_blocks(io.StringIO(">>graph6<<" + text_of(lines))))
+    cuts = [0, 6, 14, 22, 30, 38, 40]
+    assert items == [_graph6_block(text_of(lines[a:b])) for a, b in zip(cuts, cuts[1:])]
+
+
+def test_read_graph6_blocks_resume_blocks_after_a_refused_cut(monkeypatch):
+    # an order-8 line refuses the first cut, which stops in the 8th line of
+    # order 9; from the 9th on, every cut is a block again
+    monkeypatch.setattr("mismax.codec._BLOCK_CHARS", 64)
+    lines = [graph6_of_mask(9, mask * 0x2F1D3) for mask in range(40)]
+    items = list(read_graph6_blocks(io.StringIO(text_of(["G?????", *lines]))))
+    assert items[:9] == [graph6_decode(line) for line in ["G?????", *lines[:8]]]
+    assert items[9:] == [_graph6_block(text_of(lines[k:k + 8])) for k in range(8, 40, 8)]
+
+
+def test_read_graph6_blocks_errors_after_resuming_name_their_line(monkeypatch):
+    monkeypatch.setattr("mismax.codec._BLOCK_CHARS", 64)
+    lines = [graph6_of_mask(9, mask) for mask in range(40)]
+    lines[1] = "G?????"  # refuses the first cut, which ends after line 9
+    lines[30] = lines[30][:-1]  # too short, in the cut of lines 26 to 34
+    items = []
+    with pytest.raises(CodecError, match="^line 31: graph6 string length 6 wrong"):
+        items.extend(read_graph6_blocks(io.StringIO(text_of(lines))))
+    assert items[9:11] == [_graph6_block(text_of(lines[k:k + 8])) for k in (9, 17)]
+    assert items[11:] == [graph6_decode(line) for line in lines[25:30]]
+
+
 def test_read_graph6_stream_numbers_from_start():
     with pytest.raises(CodecError) as exc:
         list(read_graph6_stream(["A_\n", "A\n"], start=41))

@@ -1,3 +1,4 @@
+import io
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from mismax import (
     mis_size_profile,
     oracle_mis_size_profile,
 )
+from mismax.codec import _BLOCK_CHARS, read_graph6_blocks
 from mismax.counting import (
     _LANE_MAX,
     _expand,
@@ -260,6 +262,31 @@ def test_lane_counts_reach_moon_moser_without_carry():
     # vertices; lanes of 81 next to lanes of 1 show any carry between bytes
     graphs = [build_H(12, 4), complete_graph(12)] * 50
     assert lane_profiles(graphs) == [(0,) * 4 + (81,) + (0,) * 8, (0, 12) + (0,) * 11] * 50
+
+
+@pytest.mark.parametrize("lanes", [1, 7, 8, 9, 29, 30, 31, 63, 64, 65])
+def test_lane_counts_bit_order_at_lane_boundaries(lanes):
+    rng = random.Random(1400 + lanes)
+    graphs = [random_graph(rng, 9, (0.2, 0.5, 0.8)[i % 3]) for i in range(lanes)]
+    assert lane_profiles(graphs) == subset_profiles(graphs)
+    # one lane unlike the rest, first or last, where a reversed bit order
+    # or a short plane shows; its 81 sets need the counters' 7th plane
+    for odd in (0, lanes - 1):
+        graphs = [complete_graph(12)] * lanes
+        graphs[odd] = build_H(12, 4)
+        expected = [(0, 12) + (0,) * 11] * lanes
+        expected[odd] = (0,) * 4 + (81,) + (0,) * 8
+        assert lane_profiles(graphs) == expected
+
+
+def test_lane_counts_match_subset_scan_on_a_full_block():
+    rng = random.Random(1417)
+    graphs = [random_graph(rng, 9, (0.2, 0.5, 0.8)[i % 3]) for i in range(_BLOCK_CHARS // 8)]
+    graphs[0], graphs[-1] = build_H(9, 3), build_H(9, 4)
+    [block] = read_graph6_blocks(io.StringIO("".join(graph6_encode(g) + "\n" for g in graphs)))
+    assert block.size == len(graphs)
+    lanes = mis_lane_counts(block.n, block.size, block.columns)
+    assert list(zip(*lanes)) == subset_profiles(graphs)
 
 
 def test_lane_counts_empty_order_and_block():
