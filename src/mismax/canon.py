@@ -7,19 +7,17 @@ Found by branch-and-bound over partial labelings with prefix pruning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .graph import Graph, from_triangle_mask, triangle_pairs
 
 CANON_MAX_N = 10
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Order plus the minimal triangle mask as an integer key."""
+class CanonicalForm(namedtuple("CanonicalForm", "n key")):
+    """Order n plus the minimal triangle mask as an integer key."""
 
-    n: int
-    key: int
+    __slots__ = ()
 
     def to_graph(self) -> Graph:
         return from_triangle_mask(self.n, self.key)

@@ -10,13 +10,13 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from functools import lru_cache
-from typing import Iterator, Sequence
 
-from .canon import CanonicalForm
+# count runs on these alone; the other commands import extremal, and with it
+# canon, when they run
 from .codec import (
-    CodecError,
     graph6_encode,
     read_edge_list,
     read_graph6_blocks,
@@ -24,16 +24,6 @@ from .codec import (
     write_edge_list,
 )
 from .counting import SizeProfile, mis_lane_counts, mis_size_profile, polynomial_string
-from .extremal import (
-    AUTO,
-    bound_f,
-    build_H,
-    build_turan,
-    induction_split,
-    proof_subcase,
-    verify_bound_exhaustive,
-    verify_bound_stream,
-)
 from .graph import Graph
 
 
@@ -122,6 +112,8 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
+    from .extremal import bound_f
+
     # bound_f rejects a bad n or a t below 1, so the first t checks every row
     # before the header: an error prints nothing, and the rows stream after it
     lo, hi = _parse_t_range(args.t)
@@ -134,6 +126,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_extremal(args: argparse.Namespace) -> int:
+    from .extremal import build_H, build_turan
+
     n, t = args.n, args.t
     g = build_H(n, t) if args.which == "H" else build_turan(n, t)
     if args.format == "graph6":
@@ -143,7 +137,8 @@ def cmd_extremal(args: argparse.Namespace) -> int:
     return 0
 
 
-def _format_attainers(forms: Sequence[CanonicalForm]) -> str:
+def _format_attainers(forms) -> str:
+    """The graph6 of each CanonicalForm, joined by |, or - for none."""
     return "|".join(graph6_encode(cf.to_graph()) for cf in forms) or "-"
 
 
@@ -160,6 +155,8 @@ def _print_report(report) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .extremal import verify_bound_exhaustive, verify_bound_stream
+
     started = time.monotonic()
     reports = []
     if args.input is not None:
@@ -199,6 +196,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
+    from .extremal import AUTO, induction_split, proof_subcase
+
     graphs = list(_read_graphs(args.input, args.format))
     if len(graphs) != 1:
         raise SystemExit2(f"trace expects exactly one graph, got {len(graphs)}")
@@ -225,7 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Count size-t maximal independent sets, build extremal "
         "graphs, and verify the q^(t-r)(q+1)^r bound.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # the prog argparse would derive, the parser's usage without its options;
+    # deriving it formats that usage on every run
+    sub = parser.add_subparsers(dest="command", required=True, prog="mismax")
 
     p = sub.add_parser("count", help="per-graph MIS size profiles")
     p.add_argument("input", nargs="?", default="-", help="file or - for stdin")
@@ -292,7 +293,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         with _any_int_digits():
             return args.func(args)
-    except (CodecError, ValueError, SystemExit2, OSError) as exc:
+    except (ValueError, SystemExit2, OSError) as exc:  # CodecError is a ValueError
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

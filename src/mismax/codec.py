@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from itertools import chain
 from operator import getitem
-from typing import Iterable, Iterator, TextIO
 
 from .graph import (
     _TABLE_MAX_N,
@@ -171,15 +171,12 @@ def read_graph6_stream(lines: Iterable[str], start: int = 1) -> Iterator[Graph]:
             raise CodecError(str(exc), line=lineno) from None
 
 
-@dataclass(frozen=True)
-class Graph6Block:
-    """`size` graph6 lines of one order n, by column: columns[c] holds data
-    character c (the one after the order character) of every line, byte g
-    from line g."""
+class Graph6Block(namedtuple("Graph6Block", "n size columns")):
+    """`size` graph6 lines of one order n, by column: the tuple columns
+    holds bytes, columns[c] data character c (the one after the order
+    character) of every line, byte g from line g."""
 
-    n: int
-    size: int
-    columns: tuple[bytes, ...]
+    __slots__ = ()
 
 
 def _graph6_block(text: str) -> Graph6Block | None:
@@ -211,7 +208,7 @@ def _graph6_block(text: str) -> Graph6Block | None:
     return Graph6Block(n, size, tuple(raw[c::stride] for c in range(1, nbytes + 1)))
 
 
-def read_graph6_blocks(fh: TextIO) -> Iterator[Graph6Block | Graph]:
+def read_graph6_blocks(fh: io.TextIOBase) -> Iterator[Graph6Block | Graph]:
     """Yield the graphs of a graph6 text stream, in file order, as blocks of
     same-order lines where it can.
 

@@ -12,11 +12,11 @@ cross-check for small orders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from functools import lru_cache, reduce
 from itertools import repeat
 from operator import and_, or_
-from typing import Sequence
 
 from .graph import _TABLE_MAX_N, Graph, _complement_rows, triangle_pairs
 
@@ -36,12 +36,10 @@ _NONEDGE_DIGITS = tuple(
 _DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-@dataclass(frozen=True)
-class SizeProfile:
+class SizeProfile(namedtuple("SizeProfile", "n counts")):
     """counts[s] = number of maximal independent sets of size s, for s = 0..n."""
 
-    n: int
-    counts: tuple[int, ...]
+    __slots__ = ()
 
     def get(self, s: int) -> int:
         """Count at size s; zero outside 0..n."""

@@ -22,9 +22,9 @@ change their terms.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Hashable, Iterable, Sequence
 from functools import lru_cache
-from typing import Hashable, Iterable, Sequence
 
 from .canon import CANON_MAX_N, CanonicalForm, canonical_form
 from .codec import graph6_encode
@@ -59,15 +59,10 @@ _JOBS_PER_WORKER = 4
 AUTO = "auto"
 
 
-@dataclass(frozen=True)
-class BoundDecomposition:
+class BoundDecomposition(namedtuple("BoundDecomposition", "n t q r f")):
     """n = q*t + r with 0 <= r < t, and the bound value f = q^(t-r) (q+1)^r."""
 
-    n: int
-    t: int
-    q: int
-    r: int
-    f: int
+    __slots__ = ()
 
 
 def bound_f(n: int, t: int) -> BoundDecomposition:
@@ -117,16 +112,13 @@ def build_turan(n: int, k: int) -> Graph:
     return from_edges(n, edges)
 
 
-@dataclass(frozen=True)
-class SplitReport:
-    """Partition of t-maximal cliques by containment of a chosen vertex."""
+class SplitReport(namedtuple("SplitReport", "v t a_count b_count nbhd_count gminus_count")):
+    """Partition of t-maximal cliques by containment of a chosen vertex v:
+    a_count t-maximal cliques contain v and b_count avoid it; nbhd_count
+    (t-1)-maximal cliques of G[N(v)] and gminus_count t-maximal cliques of
+    G - v bound them."""
 
-    v: int
-    t: int
-    a_count: int  # t-maximal cliques containing v
-    b_count: int  # t-maximal cliques avoiding v
-    nbhd_count: int  # (t-1)-maximal cliques of G[N(v)]
-    gminus_count: int  # t-maximal cliques of G - v
+    __slots__ = ()
 
 
 def auto_split_vertex(g: Graph) -> int:
@@ -198,26 +190,23 @@ def _check_exhaustive_order(n: int) -> None:
         raise ValueError(f"exhaustive scan needs 1 <= n <= {EXHAUSTIVE_MAX_N}, got {n}")
 
 
-@dataclass(frozen=True)
-class ExtremalReport:
-    """One verifier result for (n, t).
+class ExtremalReport(namedtuple(
+    "ExtremalReport",
+    "n t f max_observed attainers bound_holds unique_attainer graphs_examined coverage",
+)):
+    """One verifier result for (n, t): the bound f, the largest count
+    max_observed over the graphs_examined graphs, whether the bound holds and
+    whether the attainers are exactly the extremal graph, and the coverage
+    label.
 
-    attainers holds one form per isomorphism class attaining f, in
-    first-seen order. Above CANON_MAX_N a form's key is not canonical: the
-    extremal graph is keyed by the triangle mask of build_H/build_turan, and
-    any other attainer by its own triangle mask, which coverage flags with
-    the suffix ",uncanonical".
+    attainers is a tuple of CanonicalForm, one per isomorphism class
+    attaining f, in first-seen order. Above CANON_MAX_N a form's key is not
+    canonical: the extremal graph is keyed by the triangle mask of
+    build_H/build_turan, and any other attainer by its own triangle mask,
+    which coverage flags with the suffix ",uncanonical".
     """
 
-    n: int
-    t: int
-    f: int
-    max_observed: int
-    attainers: tuple[CanonicalForm, ...]
-    bound_holds: bool
-    unique_attainer: bool
-    graphs_examined: int
-    coverage: str
+    __slots__ = ()
 
 
 def _is_extremal(rows: Sequence[int], t: int, turan: bool) -> bool:

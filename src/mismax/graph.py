@@ -12,10 +12,10 @@ earlier pairs in more significant bits.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from operator import getitem, xor
-from typing import Iterable, Iterator
 
 MAX_VERTICES = 64
 
@@ -41,23 +41,22 @@ def _check_order(n: int) -> None:
         raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
 
 
-@dataclass(frozen=True)
-class Graph:
-    """A simple undirected graph: vertex count plus per-vertex adjacency masks.
+class Graph(namedtuple("Graph", "n adj")):
+    """A simple undirected graph: vertex count n plus the tuple adj of
+    per-vertex adjacency masks.
 
     Invariants (checked at construction): adjacency is symmetric, loop-free,
     and every set bit is below n.
     """
 
-    n: int
-    adj: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_order(self.n)
-        if len(self.adj) != self.n:
+    def __init__(self, n: int, adj: tuple[int, ...]) -> None:
+        _check_order(n)
+        if len(adj) != n:
             raise ValueError("adjacency row count does not match n")
         # the row walk only names the first offender of a matrix that fails
-        if self.n and not _is_valid_matrix(self.n, self.adj):
+        if n and not _is_valid_matrix(n, adj):
             self._check_rows()
 
     def _check_rows(self) -> None:
@@ -99,19 +98,17 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(rows))
 
 
-@dataclass(frozen=True)
-class _Layout:
+class _Layout(namedtuple("_Layout", "width fmt diag swaps")):
     """The n-vertex matrix packed into one int with a row stride of w bits,
-    w in {8, 16, 32, 64} the smallest that is >= n: entry (v, u) at bit
-    v*w + u, so the rows are the n little-endian w-bit words of `fmt`."""
+    w = width in {8, 16, 32, 64} the smallest that is >= n: entry (v, u) at
+    bit v*w + u, so the rows are the n little-endian w-bit words of the
+    struct.Struct fmt, and diag has the bits of the diagonal.
 
-    width: int
-    fmt: struct.Struct
-    diag: int
-    # delta swaps that transpose the w x w matrix: for s = w/2, ..., 1 the
-    # entries (r, c) with c & s set and r & s clear, which trade places with
-    # (r + s, c - s) at shift s*(w - 1)
-    swaps: tuple[tuple[int, int], ...]
+    swaps are the (mask, shift) delta swaps that transpose the w x w matrix:
+    for s = w/2, ..., 1 the entries (r, c) with c & s set and r & s clear,
+    which trade places with (r + s, c - s) at shift s*(w - 1)."""
+
+    __slots__ = ()
 
 
 @lru_cache(maxsize=MAX_VERTICES + 1)

@@ -112,17 +112,27 @@ def test_count_lines_match_profiles(capsys, monkeypatch, csv):
     assert code == 0 and again == out
 
 
+# the count_cases inputs of one block size share most of their lines, about
+# 80,000 distinct graphs at the real block size
+@lru_cache(maxsize=1 << 17)
+def reference_fields(g):
+    """A count line after its index, for the graph g."""
+    coeffs = mis_size_profile(g).coefficients()
+    return (
+        f"n={g.n} counts={','.join(map(str, coeffs))} "
+        f"total={sum(coeffs)} poly={polynomial_string(coeffs)}\n"
+    )
+
+
 def count_line_by_line(text):
     """(exit code, stdout, stderr) of count with every line decoded and
-    counted on its own, the reference for the block path."""
+    counted on its own, the reference for the block path. Each distinct
+    graph is counted once; every line is still decoded, so the errors and
+    their line numbers come from read_graph6_stream over the whole text."""
     out = []
     try:
         for index, g in enumerate(read_graph6_stream(io.StringIO(text))):
-            coeffs = mis_size_profile(g).coefficients()
-            out.append(
-                f"graph={index} n={g.n} counts={','.join(map(str, coeffs))} "
-                f"total={sum(coeffs)} poly={polynomial_string(coeffs)}\n"
-            )
+            out.append(f"graph={index} {reference_fields(g)}")
     except CodecError as exc:
         return 2, "".join(out), f"error: {exc}\n"
     return 0, "".join(out), ""
@@ -538,3 +548,106 @@ def test_cli_import_skips_multiprocessing():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"
+
+
+HELP = """\
+usage: mismax [-h] {count,bound,extremal,verify,trace} ...
+
+Count size-t maximal independent sets, build extremal graphs, and verify the
+q^(t-r)(q+1)^r bound.
+
+positional arguments:
+  {count,bound,extremal,verify,trace}
+    count               per-graph MIS size profiles
+    bound               bound decomposition table
+    extremal            emit an extremal construction
+    verify              verify the bound exhaustively or on a stream
+    trace               A/B induction split diagnostics
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+COUNT_HELP = """\
+usage: mismax count [-h] [--format {graph6,edgelist}] [--csv] [input]
+
+positional arguments:
+  input                 file or - for stdin
+
+options:
+  -h, --help            show this help message and exit
+  --format {graph6,edgelist}
+  --csv                 tabular CSV output
+"""
+
+TRACE_USAGE_ERROR = """\
+usage: mismax trace [-h] [--format {graph6,edgelist}] --t T [--v V] [input]
+mismax trace: error: the following arguments are required: --t
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["--help"], (0, HELP, "")),
+        (["count", "--help"], (0, COUNT_HELP, "")),
+        (["trace"], (2, "", TRACE_USAGE_ERROR)),
+    ],
+    ids=["help", "count help", "trace without --t"],
+)
+def test_help_and_usage_errors(capsys, monkeypatch, argv, expected):
+    # the help text wraps at the terminal width, which COLUMNS sets
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out, captured.err) == expected
+
+
+# A command runs in a fresh `python -S`, where no site .pth hook imports
+# modules ahead of it, and writes the names of the modules it loaded, from
+# its import of mismax.cli on, to the file argv[2].
+IMPORT_PROBE = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+from mismax.cli import main
+code = main(sys.argv[3:])
+with open(sys.argv[2], "w") as fh:
+    fh.write("\\n".join(sorted(set(sys.modules) - before)))
+sys.exit(code)
+"""
+
+# no command needs these; dataclasses alone pulls in inspect, ast and dis
+NEVER_IMPORTED = {"dataclasses", "inspect", "typing"}
+# count needs neither the verifiers nor a process pool
+COUNT_NEVER_IMPORTED = {"mismax.canon", "mismax.extremal", "multiprocessing"}
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "count GRAPH",
+        "bound 6 1..6",
+        "extremal 7 3",
+        "verify --n 3 --all-t",
+        "verify --input GRAPH --t 2",
+        "trace GRAPH --t 2",
+    ],
+)
+def test_commands_import_only_what_they_run(tmp_path, command):
+    src = str(Path(mismax.__file__).resolve().parents[1])
+    graph = tmp_path / "graph.g6"
+    graph.write_text("Bw\n")
+    loaded = tmp_path / "modules.txt"
+    argv = [str(graph) if arg == "GRAPH" else arg for arg in command.split()]
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", IMPORT_PROBE, src, str(loaded), *argv],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    modules = set(loaded.read_text().split("\n"))
+    assert {"mismax.cli", "mismax.codec", "mismax.counting", "mismax.graph"} <= modules
+    assert ("mismax.extremal" in modules) == (argv[0] != "count")
+    forbidden = NEVER_IMPORTED | (COUNT_NEVER_IMPORTED if argv[0] == "count" else set())
+    assert modules & forbidden == set()
