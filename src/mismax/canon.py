@@ -8,6 +8,7 @@ Found by branch-and-bound over partial labelings with prefix pruning.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterator
 
 from .graph import Graph, from_triangle_mask, triangle_pairs
 
@@ -79,8 +80,9 @@ def canonical_form(g: Graph) -> CanonicalForm:
     return CanonicalForm(n, key)
 
 
-def _permutation_bit_tables(n: int, perm: list[int]) -> list[list[int]]:
-    """Chunked lookup tables applying a vertex permutation to a triangle mask."""
+def _permutation_bit_tables(n: int, perm: list[int], width: int) -> list[list[int]]:
+    """Two lookup tables, for mask bits below width and for the rest, whose
+    entries OR to a triangle mask with a vertex permutation applied."""
     pairs = triangle_pairs(n)
     nbits = len(pairs)
     bit_of = {p: nbits - 1 - k for k, p in enumerate(pairs)}
@@ -91,51 +93,54 @@ def _permutation_bit_tables(n: int, perm: list[int]) -> list[list[int]]:
         if a > b:
             a, b = b, a
         dest.append(bit_of[(a, b)])
-    nchunks = (nbits + 6) // 7
     tables = []
-    for c in range(nchunks):
-        tab = [0] * 128
-        for val in range(128):
-            out = 0
-            for b in range(7):
-                k = c * 7 + b
-                if k < nbits and val >> b & 1:
-                    out |= 1 << dest[k]
-            tab[val] = out
+    for first, stop in ((0, width), (width, nbits)):
+        tab = [0] * (1 << (stop - first))
+        for val in range(1, len(tab)):
+            low = val & -val
+            tab[val] = tab[val ^ low] | 1 << dest[first + low.bit_length() - 1]
         tables.append(tab)
     return tables
 
 
-def count_isomorphism_classes(n: int) -> int:
-    """Number of non-isomorphic simple graphs on n vertices, by exhaustive
-    orbit counting over all 2^(n(n-1)/2) labeled graphs (n <= 7)."""
-    if n > 7:
-        raise ValueError("exhaustive class counting limited to n <= 7")
-    if n <= 1:
-        return 1
-    nbits = n * (n - 1) // 2
+def _orbit_representatives(m: int) -> Iterator[tuple[int, int]]:
+    """Yield (mask, orbit size) for each orbit of S_m on the triangle masks
+    of order m (m <= 7), by a walk over all 2^(m(m-1)/2) masks.
+
+    The walk starts a new orbit at each mask not yet visited, in ascending
+    order, so the yielded mask is the smallest in its orbit, which is its
+    canonical_form key. The orbit sizes sum to 2^(m(m-1)/2).
+    """
+    if m > 7:
+        raise ValueError("exhaustive orbit walk limited to m <= 7")
+    if m <= 1:
+        yield 0, 1
+        return
+    nbits = m * (m - 1) // 2
     total = 1 << nbits
-    swap = list(range(n))
+    width = nbits // 2
+    low_bits = (1 << width) - 1
+    swap = list(range(m))
     swap[0], swap[1] = swap[1], swap[0]
-    cycle = list(range(1, n)) + [0]
-    gens = [_permutation_bit_tables(n, p) for p in (swap, cycle)]
-    nchunks = len(gens[0])
+    cycle = list(range(1, m)) + [0]
+    # a transposition and an m-cycle generate S_m
+    (swap_low, swap_high), (cycle_low, cycle_high) = (
+        _permutation_bit_tables(m, p, width) for p in (swap, cycle)
+    )
     visited = bytearray(total)
-    classes = 0
-    for m in range(total):
-        if visited[m]:
+    for start in range(total):
+        if visited[start]:
             continue
-        classes += 1
-        visited[m] = 1
-        stack = [m]
+        visited[start] = 1
+        size = 1
+        stack = [start]
         while stack:
             x = stack.pop()
-            chunks = [(x >> 7 * c) & 127 for c in range(nchunks)]
-            for tables in gens:
-                y = 0
-                for c in range(nchunks):
-                    y |= tables[c][chunks[c]]
+            low = x & low_bits
+            high = x >> width
+            for y in (swap_low[low] | swap_high[high], cycle_low[low] | cycle_high[high]):
                 if not visited[y]:
                     visited[y] = 1
+                    size += 1
                     stack.append(y)
-    return classes
+        yield start, size

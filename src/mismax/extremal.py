@@ -26,7 +26,7 @@ from collections import namedtuple
 from collections.abc import Hashable, Iterable, Sequence
 from functools import lru_cache
 
-from .canon import CANON_MAX_N, CanonicalForm, canonical_form
+from .canon import CANON_MAX_N, CanonicalForm, _orbit_representatives, canonical_form
 from .codec import graph6_encode
 from .counting import (
     _expand,
@@ -53,8 +53,11 @@ from .graph import (
     triangle_mask,
 )
 
-EXHAUSTIVE_MAX_N = 8
+EXHAUSTIVE_MAX_N = 9
 _JOBS_PER_WORKER = 4
+# fewer blocks scan faster in-process than a pool starts: on a 2-core VM
+# all 156 of n = 8 did, and the pool broke even at 100-300 blocks of n = 9
+_POOL_MIN_BLOCKS = 400
 
 AUTO = "auto"
 
@@ -325,8 +328,8 @@ def _extension_counts(n: int, hh: int) -> list[bytes]:
     Entry s is the 2^(n-2) segments base[s] + delta[aa][s] of 2^(n-1) bytes,
     one byte per nb, in ascending aa. The sums are exact big ints, so a
     partial sum may be negative or borrow across bytes; every final byte is
-    one graph's count, at most the 18 maximal cliques a graph on
-    EXHAUSTIVE_MAX_N = 8 vertices can have (Moon-Moser), so each segment
+    one graph's count, at most the 27 maximal cliques a graph on
+    EXHAUSTIVE_MAX_N = 9 vertices can have (Moon-Moser), so each segment
     fits its bytes; a larger EXHAUSTIVE_MAX_N must recheck that bound.
     """
     if n < 2:
@@ -385,23 +388,30 @@ def _extension_counts(n: int, hh: int) -> list[bytes]:
     return columns
 
 
-def _scan_blocks(n: int, lo: int, hi: int) -> tuple[list[int], dict[int, list[int]], int]:
+def _scan_blocks(
+    n: int, blocks: Iterable[tuple[int, int]]
+) -> tuple[list[int], dict[int, list[int]], int]:
     """Worker: count the maximal cliques of the labeled n-vertex graphs whose
-    first n-2 vertices have triangle mask in [lo, hi), 2^(2n-3) graphs per
-    mask (the one graph for n = 1).
+    first n-2 vertices have triangle mask hh, for each (hh, orbit) of blocks,
+    2^(2n-3) graphs per mask (the one graph for n = 1).
+
+    A block stands for the orbit blocks whose G'' is a relabeling of its
+    own: their lanes hold its counts permuted, so they share its per-t
+    maxima, and if hh is the smallest mask of its orbit, the block holds
+    the smallest labeled mask of every class the orbit's blocks contain.
 
     Returns (per-t maximum counts, {t: masks attaining bound_f(n,t)} in
-    ascending order, number of graphs scanned).
+    block order, number of graphs covered: orbit * 2^(2n-3) per block).
     """
     bounds = [0] + [bound_f(n, t).f for t in range(1, n + 1)]
     at_most = [bytes(range(c + 1)) for c in range(256)]
     max_counts = [0] * (n + 1)
     attainers: dict[int, list[int]] = {t: [] for t in range(1, n + 1)}
-    scanned = 0
-    for hh in range(lo, hi):
+    covered = 0
+    for hh, orbit in blocks:
         counts = _extension_counts(n, hh)
         lanes = len(counts[0])
-        scanned += lanes
+        covered += orbit * lanes
         base = hh * lanes  # hh << (2n-3)
         for t in range(1, n + 1):
             column = counts[t]
@@ -413,62 +423,31 @@ def _scan_blocks(n: int, lo: int, hi: int) -> tuple[list[int], dict[int, list[in
             while lane >= 0:
                 attainers[t].append(base | lane)
                 lane = column.find(f, lane + 1)
-    return max_counts, attainers, scanned
+    return max_counts, attainers, covered
 
 
-def verify_bound_exhaustive(
+def _exhaustive_reports(
     n: int,
-    ts: Iterable[int] | None = None,
-    side: str = "mis",
-    workers: int = 1,
+    ts: Sequence[int],
+    side: str,
+    parts: Iterable[tuple[list[int], dict[int, list[int]], int]],
 ) -> list[ExtremalReport]:
-    """Scan all labeled graphs on n vertices once, reporting one ExtremalReport
-    per requested t. Deterministic regardless of worker count.
-
-    The scan counts maximal cliques. Complementing is a bijection on labeled
-    graphs and turns maximal independent sets into maximal cliques, so the
-    per-t maxima are the same on both sides, and the MIS attainers are the
-    complements of the clique attainers. Raises ValueError if the workers
-    did not scan exactly 2^C(n,2) graphs between them.
-    """
-    _check_exhaustive_order(n)
-    if side not in ("mis", "clique"):
-        raise ValueError("side must be 'mis' or 'clique'")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    ts = list(ts) if ts is not None else list(range(1, n + 1))
-    for t in ts:
-        if not 1 <= t <= n:
-            raise ValueError(f"t={t} outside 1..{n}")
+    """Merge the _scan_blocks results of one scan, in block order, into one
+    report per t; raises ValueError unless they cover exactly the 2^C(n,2)
+    labeled graphs."""
     total = 1 << (n * (n - 1) // 2)
-    # masks of the first n-2 vertices; n = 1 is one block of one graph
-    blocks = 1 << (n - 2) * (n - 3) // 2 if n > 1 else 1
-    workers = min(workers, os.cpu_count() or 1)
-
-    if workers > 1 and total >= 1 << 12:
-        # several jobs per worker, taken in turn, even out the sparse and
-        # dense ends of the mask range; starmap keeps their order
-        chunk = -(-blocks // (workers * _JOBS_PER_WORKER))
-        jobs = [(n, lo, min(lo + chunk, blocks)) for lo in range(0, blocks, chunk)]
-        import multiprocessing  # here, so commands that never fork skip its import
-
-        with multiprocessing.Pool(workers) as pool:
-            parts = pool.starmap(_scan_blocks, jobs)
-    else:
-        parts = [_scan_blocks(n, 0, blocks)]
-
     max_counts = [0] * (n + 1)
     attainer_masks: dict[int, list[int]] = {t: [] for t in range(1, n + 1)}
-    scanned = 0
+    covered = 0
     for mc, att, graphs in parts:
         for t in range(n + 1):
             max_counts[t] = max(max_counts[t], mc[t])
         for t, masks in att.items():
-            attainer_masks[t].extend(masks)  # parts are in index order
-        scanned += graphs
-    if scanned != total:
+            attainer_masks[t].extend(masks)
+        covered += graphs
+    if covered != total:
         raise ValueError(
-            f"exhaustive scan covered {scanned} of the {total} labeled graphs on {n} vertices"
+            f"exhaustive scan covered {covered} of the {total} labeled graphs on {n} vertices"
         )
 
     # the masks are clique-side attainers: the MIS attainer is the complement,
@@ -483,9 +462,58 @@ def verify_bound_exhaustive(
                 yield _attainer_form(from_triangle_mask(n, mask ^ flip))
 
     return [
-        _report(n, t, side, max_counts[t], keys(t), scanned, f"exhaustive-labeled({n})")
+        _report(n, t, side, max_counts[t], keys(t), covered, f"exhaustive-labeled({n})")
         for t in ts
     ]
+
+
+def verify_bound_exhaustive(
+    n: int,
+    ts: Iterable[int] | None = None,
+    side: str = "mis",
+    workers: int = 1,
+) -> list[ExtremalReport]:
+    """Cover all labeled graphs on n vertices once, reporting one
+    ExtremalReport per requested t. Deterministic regardless of worker count.
+
+    The scan counts maximal cliques. Complementing is a bijection on labeled
+    graphs and turns maximal independent sets into maximal cliques, so the
+    per-t maxima are the same on both sides, and the MIS attainers are the
+    complements of the clique attainers.
+
+    Every labeled graph relabels, by a permutation of its first n-2
+    vertices, into the block of one orbit representative of G'', so the
+    kernel runs once per representative, in ascending mask order; the
+    attainer classes then come in the order of their smallest labeled
+    mask, as in a scan of every block. Raises ValueError unless the orbit
+    sizes times 2^(2n-3) sum to exactly 2^C(n,2).
+    """
+    _check_exhaustive_order(n)
+    if side not in ("mis", "clique"):
+        raise ValueError("side must be 'mis' or 'clique'")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    ts = list(ts) if ts is not None else list(range(1, n + 1))
+    for t in ts:
+        if not 1 <= t <= n:
+            raise ValueError(f"t={t} outside 1..{n}")
+    # one block per orbit of G'' on the first n-2 vertices; n = 1 is one
+    # block of one graph
+    blocks = list(_orbit_representatives(max(n - 2, 0)))
+    workers = min(workers, os.cpu_count() or 1)
+
+    if workers > 1 and len(blocks) >= _POOL_MIN_BLOCKS:
+        # several jobs per worker, taken in turn, even out the sparse and
+        # dense ends of the mask range; starmap keeps their order
+        chunk = -(-len(blocks) // (workers * _JOBS_PER_WORKER))
+        jobs = [(n, blocks[lo : lo + chunk]) for lo in range(0, len(blocks), chunk)]
+        import multiprocessing  # here, so commands that never fork skip its import
+
+        with multiprocessing.Pool(workers) as pool:
+            parts = pool.starmap(_scan_blocks, jobs)
+    else:
+        parts = [_scan_blocks(n, blocks)]
+    return _exhaustive_reports(n, ts, side, parts)
 
 
 def verify_bound_stream(

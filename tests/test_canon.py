@@ -16,9 +16,9 @@ from mismax import (
     empty_graph,
     from_edges,
 )
-from mismax.canon import count_isomorphism_classes
+from mismax.canon import _orbit_representatives
 from mismax.extremal import build_turan
-from mismax.graph import triangle_mask
+from mismax.graph import from_triangle_mask, triangle_mask
 
 from conftest import cycle_graph, path_graph, permute, random_graph
 
@@ -102,12 +102,27 @@ def test_order_ceiling():
 
 
 def test_isomorphism_class_counts_small():
-    assert [count_isomorphism_classes(n) for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
+    counts = [len(list(_orbit_representatives(m))) for m in range(1, 7)]
+    assert counts == [1, 2, 4, 11, 34, 156]
 
 
 def test_class_count_order_ceiling():
     with pytest.raises(ValueError):
-        count_isomorphism_classes(8)
+        list(_orbit_representatives(8))
+
+
+def test_orbit_representatives_are_canonical_keys():
+    for m in range(0, 7):
+        reps = list(_orbit_representatives(m))
+        for mask, _ in reps:
+            assert mask == canonical_form(from_triangle_mask(m, mask)).key, (m, mask)
+        assert sum(size for _, size in reps) == 1 << m * (m - 1) // 2
+        if m <= 5:
+            # each orbit's size is the number of its distinct relabelings
+            for mask, size in reps:
+                g = from_triangle_mask(m, mask)
+                relabeled = {triangle_mask(permute(g, list(p))) for p in permutations(range(m))}
+                assert size == len(relabeled), (m, mask)
 
 
 def test_symmetric_graphs_fast_paths():

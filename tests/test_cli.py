@@ -383,7 +383,9 @@ def test_verify_stream_stdin(capsys, monkeypatch):
 def test_verify_usage_errors(capsys):
     assert run(capsys, ["verify"])[0] == 2
     assert run(capsys, ["verify", "--n", "6"])[0] == 2
-    assert run(capsys, ["verify", "--n", "9", "--t", "2"])[0] == 2
+    code, out, err = run(capsys, ["verify", "--n", "10", "--t", "2"])
+    assert (code, out) == (2, "")
+    assert "exhaustive scan needs 1 <= n <= 9, got 10" in err
 
 
 def test_verify_parse_error(capsys, monkeypatch):
@@ -491,6 +493,7 @@ def test_verify_t_and_all_t_exclusive(capsys):
 
 
 def test_verify_workers_clamped_to_cpus(capsys, monkeypatch, serial_pool):
+    monkeypatch.setattr("mismax.extremal._POOL_MIN_BLOCKS", 1)
     monkeypatch.setattr("os.cpu_count", lambda: 3)
     code, out, _ = run(capsys, ["verify", "--n", "6", "--t", "2", "--workers", "64"])
     assert code == 0
@@ -539,15 +542,23 @@ def test_verify_stream_above_canon_limit(capsys, monkeypatch, extremal_args, ver
 
 
 def test_cli_import_skips_multiprocessing():
-    # only an exhaustive scan with workers > 1 forks, so only it imports the pool
+    # only an exhaustive scan of enough blocks with workers > 1 forks, so
+    # only it imports the pool; n = 7 has 34 blocks, too few to pay for one
     src = str(Path(mismax.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, mismax.cli; print('multiprocessing' in sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    code = (
+        "import sys, mismax.cli\n"
+        "code = mismax.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "print('multiprocessing' in sys.modules)\n"
+        "sys.exit(code)"
     )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "False\n"
+    for argv in [], ["verify", "--n", "7", "--all-t", "--workers", "2"]:
+        result = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "False", argv
 
 
 HELP = """\

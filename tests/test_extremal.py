@@ -28,6 +28,7 @@ from mismax import (
     verify_bound_stream,
 )
 from mismax import extremal
+from mismax.canon import _orbit_representatives
 from mismax.codec import graph6_encode
 from mismax.counting import maximal_clique_counts
 from mismax.extremal import auto_split_vertex
@@ -257,6 +258,8 @@ def test_verify_clique_side_agrees():
 
 def test_verify_workers_deterministic(monkeypatch):
     single = verify_bound_exhaustive(6, workers=1)
+    # n = 6 has 11 blocks, too few to start a pool unless the threshold drops
+    monkeypatch.setattr(extremal, "_POOL_MIN_BLOCKS", 1)
     real_pool = multiprocessing.Pool
     sizes = []
 
@@ -271,17 +274,17 @@ def test_verify_workers_deterministic(monkeypatch):
 
 
 def test_verify_worker_blocks_tile_the_scan(monkeypatch, serial_pool):
+    monkeypatch.setattr(extremal, "_POOL_MIN_BLOCKS", 1)
     monkeypatch.setattr("os.cpu_count", lambda: 3)
     multi = verify_bound_exhaustive(6, workers=3)
     assert serial_pool.sizes == [3]
-    # one block per triangle mask of the first 4 vertices: 2^6 blocks, in
-    # several jobs per worker, handed out in ascending order
-    ranges = [(lo, hi) for n, lo, hi in serial_pool.jobs]
-    assert all(n == 6 for n, _, _ in serial_pool.jobs)
-    assert len(ranges) > 3
-    assert ranges[0][0] == 0 and ranges[-1][1] == 1 << 6
-    assert all(hi == next_lo for (_, hi), (next_lo, _) in zip(ranges, ranges[1:]))
-    assert all(lo < hi for lo, hi in ranges)
+    # one block per orbit representative of the first 4 vertices: 11
+    # blocks, in several jobs per worker, handed out in ascending order
+    assert all(n == 6 for n, _ in serial_pool.jobs)
+    slices = [blocks for _, blocks in serial_pool.jobs]
+    assert len(slices) > 3
+    assert all(slices)
+    assert [block for blocks in slices for block in blocks] == list(_orbit_representatives(4))
     assert multi == verify_bound_exhaustive(6, workers=1)
 
 
@@ -291,11 +294,43 @@ def test_verify_rejects_partial_coverage(monkeypatch, serial_pool):
             return super().starmap(func, jobs[:-1])
 
     monkeypatch.setattr("multiprocessing.Pool", DropLastJob)
+    monkeypatch.setattr(extremal, "_POOL_MIN_BLOCKS", 1)
     monkeypatch.setattr("os.cpu_count", lambda: 3)
-    # the jobs cover blocks [0, 6), [6, 12), ..., [54, 60), [60, 64) of 512
-    # graphs each
-    with pytest.raises(ValueError, match="covered 30720 of the 32768 labeled graphs"):
+    # the last job is the one block of K4, whose orbit is itself: 512 graphs
+    with pytest.raises(ValueError, match="covered 32256 of the 32768 labeled graphs"):
         verify_bound_exhaustive(6, workers=3)
+
+
+def test_verify_rejects_a_dropped_representative(monkeypatch):
+    def all_but_the_first(m):
+        return list(_orbit_representatives(m))[1:]
+
+    monkeypatch.setattr(extremal, "_orbit_representatives", all_but_the_first)
+    # the first representative is the empty G'', whose orbit is itself:
+    # 2^9 graphs of 2^15
+    with pytest.raises(ValueError, match="covered 32256 of the 32768 labeled graphs"):
+        verify_bound_exhaustive(6)
+
+
+@pytest.mark.parametrize("lowered", [False, True])
+@pytest.mark.parametrize("side", ["mis", "clique"])
+def test_verify_matches_a_scan_of_every_block(monkeypatch, side, lowered):
+    """The orbit-representative scan reports what a scan of all 2^C(n-2,2)
+    blocks, each standing for itself, reports: the same maxima and the same
+    attainer classes in the same first-seen order."""
+    if lowered:
+        # f - 1 is attained by up to 5 classes per t at n <= 7, so their
+        # order is compared too; f itself has one attainer class throughout
+        real = extremal.bound_f
+        monkeypatch.setattr(
+            extremal, "bound_f", lambda n, t: real(n, t)._replace(f=max(real(n, t).f - 1, 1))
+        )
+    for n in range(1, 8):
+        blocks = 1 << (n - 2) * (n - 3) // 2 if n > 1 else 1
+        every = extremal._scan_blocks(n, ((hh, 1) for hh in range(blocks)))
+        ts = range(1, n + 1)
+        expected = extremal._exhaustive_reports(n, ts, side, [every])
+        assert verify_bound_exhaustive(n, side=side) == expected, n
 
 
 def _check_block(n, hh):
@@ -351,7 +386,7 @@ def test_verify_rejects_bad_args():
     with pytest.raises(ValueError):
         verify_bound_exhaustive(0)
     with pytest.raises(ValueError):
-        verify_bound_exhaustive(9)
+        verify_bound_exhaustive(10)
     with pytest.raises(ValueError):
         verify_bound_exhaustive(5, ts=[0])
     with pytest.raises(ValueError):
