@@ -160,16 +160,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     started = time.monotonic()
     reports = []
     if args.input is not None:
-        scan_flags = {"--n": args.n, "--workers": args.workers}
+        scan_flags = {"--n": args.n, "--all-t": args.all_t or None, "--workers": args.workers}
         given = [flag for flag, value in scan_flags.items() if value is not None]
         if given:
             raise SystemExit2(f"{' and '.join(given)} cannot be combined with --input")
         if args.t is None:
             raise SystemExit2("--t is required with --input")
-        graphs = _read_graphs(args.input, "graph6")
-        reports.append(
-            verify_bound_stream(graphs, args.t, side=args.side, source=args.input)
-        )
+        with _opened(args.input) as fh:
+            reports.append(verify_bound_stream(
+                read_graph6_blocks(fh), args.t, side=args.side, source=args.input
+            ))
         exhaustive = False
     else:
         if args.n is None:
@@ -258,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="scan processes (default 1); --n 8 scans 2^28 graphs, about 20 s with one",
+        help="scan processes (default 1); only --n 9 starts a pool, as --n 8 takes "
+        "about 0.1 s with one",
     )
     p.set_defaults(func=cmd_verify)
 

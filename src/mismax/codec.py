@@ -5,19 +5,9 @@ from __future__ import annotations
 import io
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from functools import lru_cache
 from itertools import chain
-from operator import getitem
 
-from .graph import (
-    _TABLE_MAX_N,
-    Graph,
-    _matrix_rows,
-    _pair_table,
-    from_edges,
-    from_triangle_mask,
-    triangle_mask,
-)
+from .graph import _TABLE_MAX_N, Graph, from_edges, from_triangle_mask, triangle_mask
 
 GRAPH6_HEADER = ">>graph6<<"
 GRAPH6_MAX_N = 62
@@ -71,30 +61,12 @@ def graph6_decode(line: str) -> Graph:
             f"graph6 string length {len(s)} wrong for n={n} (expected {1 + nbytes})"
         )
     pad = 6 * nbytes - nbits
-    if n <= _TABLE_MAX_N:
-        if (raw[-1] - 63) & ((1 << pad) - 1):
-            raise CodecError("nonzero padding bits in graph6 string")
-        # the tables of distinct characters set distinct pairs, so sum is bitwise or
-        return Graph(n, _matrix_rows(n, sum(map(getitem, _char_tables(n), raw[1:]))))
     bitstream = 0
-    for ch in s[1:]:
-        bitstream = bitstream << 6 | (ord(ch) - 63)
+    for c in raw[1:]:
+        bitstream = bitstream << 6 | c - 63
     if bitstream & ((1 << pad) - 1):
         raise CodecError("nonzero padding bits in graph6 string")
     return from_triangle_mask(n, bitstream >> pad)
-
-
-@lru_cache(maxsize=_TABLE_MAX_N + 1)
-def _char_tables(n: int) -> tuple[tuple[int, ...], ...]:
-    """Per data character of an n-vertex graph6 string, the packed matrix of
-    the pairs its 6 bits set, indexed by the character's code 63..126; the
-    pad low bits of the last character belong to no pair."""
-    nbits = n * (n - 1) // 2
-    nbytes = (nbits + 5) // 6
-    pad = 6 * nbytes - nbits
-    return tuple(
-        (0,) * 63 + _pair_table(n, 6 * k - pad, 6) for k in reversed(range(nbytes))
-    )
 
 
 def graph6_encode(g: Graph) -> str:
@@ -177,6 +149,13 @@ class Graph6Block(namedtuple("Graph6Block", "n size columns")):
     character) of every line, byte g from line g."""
 
     __slots__ = ()
+
+    def lane_mask(self, g: int) -> int:
+        """The triangle mask of line g, read from its byte of each column."""
+        bitstream = 0
+        for column in self.columns:
+            bitstream = bitstream << 6 | column[g] - 63
+        return bitstream >> 6 * len(self.columns) - self.n * (self.n - 1) // 2
 
 
 def _graph6_block(text: str) -> Graph6Block | None:

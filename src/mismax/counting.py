@@ -132,10 +132,14 @@ def _subset_counts(adj: tuple[int, ...], n: int, complement: bool) -> list[int]:
     return [(kept & sets).bit_count() for sets in layer]
 
 
-def mis_lane_counts(n: int, lanes: int, columns: Sequence[bytes]) -> list[bytes]:
+def mis_lane_counts(
+    n: int, lanes: int, columns: Sequence[bytes], complement: bool = True
+) -> list[bytes]:
     """Per-size counts of the maximal independent sets of a block of `lanes`
     graphs of order n: byte g of entry s is the number of maximal
-    independent sets of size s in graph g.
+    independent sets of size s in graph g. With complement false they count
+    the maximal cliques instead: the search runs on the complement of each
+    graph, whose non-edge planes are the edge planes of the block.
 
     columns[c] holds data character c of every graph's short-form graph6
     string, byte g for graph g, as read_graph6_blocks checks and cuts them.
@@ -161,11 +165,12 @@ def mis_lane_counts(n: int, lanes: int, columns: Sequence[bytes]) -> list[bytes]
         raise ValueError(f"lane counts need 3^(n/3) <= {_LANE_MAX}, got n={n}")
     if not lanes:
         return [b""] * (n + 1)
+    everywhere = (1 << lanes) - 1
+    flip = 0 if complement else everywhere
     nonedge = [[0] * n for _ in range(n)]
     for p, (i, j) in enumerate(triangle_pairs(n)):
         plane = int(columns[p // 6].translate(_NONEDGE_DIGITS[p % 6])[::-1], 2)
-        nonedge[i][j] = nonedge[j][i] = plane
-    everywhere = (1 << lanes) - 1
+        nonedge[i][j] = nonedge[j][i] = plane ^ flip
     counters: list[list[int]] = [[] for _ in range(n + 1)]
 
     def visit(size: int, ind: int, free: list[int], start: int) -> None:

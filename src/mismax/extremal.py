@@ -27,12 +27,13 @@ from collections.abc import Hashable, Iterable, Sequence
 from functools import lru_cache
 
 from .canon import CANON_MAX_N, CanonicalForm, _orbit_representatives, canonical_form
-from .codec import graph6_encode
+from .codec import Graph6Block, graph6_encode
 from .counting import (
     _expand,
     _submasks,
     maximal_clique_counts,
     maximal_clique_size_profile,
+    mis_lane_counts,
     mis_size_profile,
 )
 from .graph import (
@@ -388,6 +389,22 @@ def _extension_counts(n: int, hh: int) -> list[bytes]:
     return columns
 
 
+def _lane_reduce(column: bytes, most: int, f: int) -> tuple[int, list[int]]:
+    """The larger of most and the largest count in the column of per-lane
+    counts, and the lanes whose count is f, in ascending order; none if
+    f = 0, which every graph meets with no extremal graph (see _report)."""
+    # deleting the counts up to the maximum so far leaves the larger ones
+    if column.translate(None, bytes(range(most + 1))):
+        most = max(column)
+    lanes = []
+    if f:
+        lane = column.find(f)
+        while lane >= 0:
+            lanes.append(lane)
+            lane = column.find(f, lane + 1)
+    return most, lanes
+
+
 def _scan_blocks(
     n: int, blocks: Iterable[tuple[int, int]]
 ) -> tuple[list[int], dict[int, list[int]], int]:
@@ -404,7 +421,6 @@ def _scan_blocks(
     block order, number of graphs covered: orbit * 2^(2n-3) per block).
     """
     bounds = [0] + [bound_f(n, t).f for t in range(1, n + 1)]
-    at_most = [bytes(range(c + 1)) for c in range(256)]
     max_counts = [0] * (n + 1)
     attainers: dict[int, list[int]] = {t: [] for t in range(1, n + 1)}
     covered = 0
@@ -414,15 +430,8 @@ def _scan_blocks(
         covered += orbit * lanes
         base = hh * lanes  # hh << (2n-3)
         for t in range(1, n + 1):
-            column = counts[t]
-            # deleting the counts up to the maximum so far leaves the larger ones
-            if column.translate(None, at_most[max_counts[t]]):
-                max_counts[t] = max(column)
-            f = bounds[t]
-            lane = column.find(f)
-            while lane >= 0:
-                attainers[t].append(base | lane)
-                lane = column.find(f, lane + 1)
+            max_counts[t], found = _lane_reduce(counts[t], max_counts[t], bounds[t])
+            attainers[t].extend(base | lane for lane in found)
     return max_counts, attainers, covered
 
 
@@ -517,46 +526,56 @@ def verify_bound_exhaustive(
 
 
 def verify_bound_stream(
-    graphs: Iterable[Graph],
+    items: Iterable[Graph6Block | Graph],
     t: int,
     side: str = "mis",
     source: str = "stream",
 ) -> ExtremalReport:
-    """Verify the bound over an externally supplied stream of same-order graphs.
+    """Verify the bound over an externally supplied stream of same-order
+    graphs: the items of read_graph6_blocks, or plain Graphs.
 
-    Uniqueness is not certified for streams (coverage is not exhaustive);
-    unique_attainer reflects only the graphs seen. Attainers are keyed as
-    they arrive, the recognized extremal graph by one sentinel and any other
-    attainer by its form, and _report dedupes the keys in first-seen order.
-    No order is too large: above CANON_MAX_N the forms are not canonical
-    (see ExtremalReport).
+    A block is counted by one mis_lane_counts call, on the non-edge planes
+    for the MIS side and on the edge planes for the clique side, and only
+    its attainer lanes are decoded, to rows that _is_extremal tests; a
+    Graph item is counted on its own. Uniqueness is not certified for
+    streams (coverage is not exhaustive); unique_attainer reflects only the
+    graphs seen. Attainers are keyed as they arrive, the recognized extremal
+    graph by one sentinel and any other attainer by its form, and _report
+    dedupes the keys in first-seen order. No order is too large: above
+    CANON_MAX_N the forms are not canonical (see ExtremalReport).
     """
     if t < 1:
         raise ValueError("t must be >= 1")
     if side not in ("mis", "clique"):
         raise ValueError("side must be 'mis' or 'clique'")
+    turan = side == "clique"
     n = None
     max_observed = 0
     examined = 0
     keys: dict[Hashable, None] = {}
     f = 0
-    for g in graphs:
+    for item in items:
         if n is None:
-            n = g.n
+            n = item.n
             f = bound_f(n, t).f
-        elif g.n != n:
-            raise ValueError(f"mixed graph orders in stream: {n} then {g.n}")
-        examined += 1
-        if side == "mis":
-            counts = mis_size_profile(g)
+        elif item.n != n:
+            raise ValueError(f"mixed graph orders in stream: {n} then {item.n}")
+        if isinstance(item, Graph):
+            examined += 1
+            profile = maximal_clique_size_profile(item) if turan else mis_size_profile(item)
+            c = profile.get(t)
+            max_observed = max(max_observed, c)
+            attainers = [item.adj] if c == f and f else []  # f = 0, see _report
         else:
-            counts = maximal_clique_size_profile(g)
-        c = counts.get(t)
-        if c > max_observed:
-            max_observed = c
-        if c == f and f:  # f = 0 records no attainers, see _report
-            extremal = _is_extremal(g.adj, t, turan=side == "clique")
-            keys[_EXTREMAL if extremal else _attainer_form(g)] = None
+            examined += item.size
+            counts = mis_lane_counts(n, item.size, item.columns, complement=not turan)
+            max_observed, lanes = _lane_reduce(counts[t] if t <= n else b"", max_observed, f)
+            attainers = [_rows_from_mask(n, item.lane_mask(lane)) for lane in lanes]
+        for rows in attainers:
+            if _is_extremal(rows, t, turan):
+                keys[_EXTREMAL] = None
+            else:  # rows of a Graph or of a mask need no re-check
+                keys[_attainer_form(Graph._make((n, rows)))] = None
     if n is None:
         raise ValueError("empty graph stream")
     return _report(n, t, side, max_observed, keys, examined, f"stream({source})")

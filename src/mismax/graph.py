@@ -11,20 +11,16 @@ earlier pairs in more significant bits.
 
 from __future__ import annotations
 
-import struct
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
-from operator import getitem, xor
+from operator import xor
 
 MAX_VERTICES = 64
 
-# Largest order served by the lazily built lookup tables: the byte tables of
-# _rows_from_mask here, the character tables of the graph6 decoder and the
-# subset tables of the counting kernel. At n = 12 they take about 0.1 MB,
-# 0.05 MB and 1.3 MB. The subset tables grow as 4^n bits, and the byte tables
-# at n = 62 would take tens of MB, so larger orders keep the bit walk and
-# Bron-Kerbosch.
+# Largest order served by the lazily built subset tables of the counting
+# kernel, about 1.3 MB at n = 12; they grow as 4^n bits, so larger orders run
+# Bron-Kerbosch. read_graph6_blocks takes blocks of this order at most.
 _TABLE_MAX_N = 12
 
 
@@ -55,9 +51,7 @@ class Graph(namedtuple("Graph", "n adj")):
         _check_order(n)
         if len(adj) != n:
             raise ValueError("adjacency row count does not match n")
-        # the row walk only names the first offender of a matrix that fails
-        if n and not _is_valid_matrix(n, adj):
-            self._check_rows()
+        self._check_rows()
 
     def _check_rows(self) -> None:
         """Row by row check that raises on the first offending row."""
@@ -96,61 +90,6 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return Graph(n, tuple(rows))
-
-
-class _Layout(namedtuple("_Layout", "width fmt diag swaps")):
-    """The n-vertex matrix packed into one int with a row stride of w bits,
-    w = width in {8, 16, 32, 64} the smallest that is >= n: entry (v, u) at
-    bit v*w + u, so the rows are the n little-endian w-bit words of the
-    struct.Struct fmt, and diag has the bits of the diagonal.
-
-    swaps are the (mask, shift) delta swaps that transpose the w x w matrix:
-    for s = w/2, ..., 1 the entries (r, c) with c & s set and r & s clear,
-    which trade places with (r + s, c - s) at shift s*(w - 1)."""
-
-    __slots__ = ()
-
-
-@lru_cache(maxsize=MAX_VERTICES + 1)
-def _layout(n: int) -> _Layout:
-    w, code = next((w, code) for w, code in ((8, "B"), (16, "H"), (32, "I"), (64, "Q")) if w >= n)
-    swaps = []
-    s = w // 2
-    while s:
-        mask = sum(1 << r * w + c for r in range(w) for c in range(w) if c & s and not r & s)
-        swaps.append((mask, s * (w - 1)))
-        s //= 2
-    return _Layout(
-        w,
-        struct.Struct(f"<{n}{code}"),
-        sum(1 << v * (w + 1) for v in range(n)),
-        tuple(swaps),
-    )
-
-
-def _is_valid_matrix(n: int, adj: tuple[int, ...]) -> bool:
-    """True iff the rows are in range, loop-free and symmetric, checked on the
-    whole packed matrix at once: symmetric means equal to its transpose. That
-    also rejects a bit u with n <= u < w in row v, whose mirror would lie in
-    row u, past the n rows of the matrix."""
-    layout = _layout(n)
-    try:
-        m = int.from_bytes(layout.fmt.pack(*adj), "little")
-    except struct.error:  # a negative row, or one of w bits or more
-        return False
-    if m & layout.diag:
-        return False
-    t = m
-    for mask, shift in layout.swaps:
-        d = (t ^ t >> shift) & mask
-        t ^= d ^ d << shift
-    return t == m
-
-
-def _matrix_rows(n: int, m: int) -> tuple[int, ...]:
-    """The rows of a matrix packed in the layout of order n."""
-    fmt = _layout(n).fmt
-    return fmt.unpack(m.to_bytes(fmt.size, "little"))
 
 
 @lru_cache(maxsize=MAX_VERTICES + 1)
@@ -225,34 +164,8 @@ def _bit_pairs(n: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple((i, j, 1 << i, 1 << j) for i, j in reversed(triangle_pairs(n)))
 
 
-def _pair_table(n: int, low: int, width: int) -> tuple[int, ...]:
-    """Entry x is the packed matrix of the pairs at the mask bits low + j for
-    the set bits j of x, x below 2^width; a bit outside the mask sets none."""
-    pairs = _bit_pairs(n)
-    w = _layout(n).width
-    table = [0]
-    for b in range(low, low + width):
-        entry = 0
-        if 0 <= b < len(pairs):
-            i, j, _, _ = pairs[b]
-            entry = 1 << (i * w + j) | 1 << (j * w + i)
-        table += [p | entry for p in table]
-    return tuple(table)
-
-
-@lru_cache(maxsize=_TABLE_MAX_N + 1)
-def _byte_tables(n: int) -> tuple[tuple[int, ...], ...]:
-    """Per byte k of an n-vertex triangle mask, the packed matrix of each value."""
-    return tuple(_pair_table(n, k, 8) for k in range(0, n * (n - 1) // 2, 8))
-
-
 def _rows_from_mask(n: int, mask: int) -> tuple[int, ...]:
-    """Adjacency rows of the triangle mask: one table lookup per mask byte up
-    to _TABLE_MAX_N vertices, above it a walk over the set bits."""
-    if n <= _TABLE_MAX_N:
-        tables = _byte_tables(n)
-        # the tables of distinct bytes set distinct pairs, so sum is bitwise or
-        return _matrix_rows(n, sum(map(getitem, tables, mask.to_bytes(len(tables), "little"))))
+    """Adjacency rows of the triangle mask, by a walk over its set bits."""
     table = _bit_pairs(n)
     rows = [0] * n
     while mask:
@@ -296,7 +209,9 @@ def triangle_mask(g: Graph) -> int:
 
 def from_triangle_mask(n: int, mask: int) -> Graph:
     """Inverse of triangle_mask for an n-vertex graph."""
+    _check_order(n)
     nbits = n * (n - 1) // 2
     if mask < 0 or mask >> nbits:
         raise ValueError(f"triangle mask has bits beyond the {nbits} pairs of n={n}")
-    return Graph(n, _rows_from_mask(n, mask))
+    # rows built from pairs are symmetric, loop-free and in range: no re-check
+    return Graph._make((n, _rows_from_mask(n, mask)))

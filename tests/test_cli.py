@@ -1,3 +1,4 @@
+import contextlib
 import io
 import os
 import random
@@ -12,16 +13,20 @@ import pytest
 import mismax
 from mismax import (
     CodecError,
+    build_H,
+    build_turan,
     graph6_decode,
     graph6_encode,
+    maximal_clique_size_profile,
     mis_size_profile,
     read_graph6_stream,
+    verify_bound_stream,
 )
-from mismax.cli import _any_int_digits, _count_fields, main
+from mismax.cli import _any_int_digits, _count_fields, _print_report, main
 from mismax.codec import _BLOCK_CHARS
-from mismax.counting import polynomial_string
+from mismax.counting import mis_lane_counts, polynomial_string
 
-from conftest import random_graph
+from conftest import permute, random_graph
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -222,6 +227,88 @@ def test_count_blocks_match_line_by_line_on_a_pipe(name):
         capture_output=True, text=True, timeout=60,
     )
     assert (result.returncode, result.stdout, result.stderr) == count_line_by_line(text)
+
+
+@lru_cache(maxsize=1)
+def stream_graphs(text):
+    """list(read_graph6_stream(text)), or the CodecError it raises; kept
+    while one input is verified at every t on both sides."""
+    try:
+        return list(read_graph6_stream(io.StringIO(text)))
+    except CodecError as exc:
+        return exc
+
+
+def verify_line_by_line(text, t, side):
+    """(exit code, stdout, stderr) of verify --input with every line decoded
+    into a Graph and counted on its own, the reference for the block path."""
+    graphs = stream_graphs(text)
+    try:
+        if isinstance(graphs, CodecError):
+            raise graphs
+        report = verify_bound_stream(graphs, t, side=side, source="-")
+    except ValueError as exc:  # CodecError is a ValueError
+        return 2, "", f"error: {exc}\n"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _print_report(report)
+    return int(not report.bound_holds), out.getvalue(), ""
+
+
+def verify_blocks(capsys, monkeypatch, text, t, side):
+    """(exit code, stdout, stderr without wall_time) of verify --input."""
+    argv = ["verify", "--input", "-", "--t", str(t), "--side", side]
+    code, out, err = run(capsys, argv, stdin=text, monkeypatch=monkeypatch)
+    return code, out, "".join(
+        line for line in err.splitlines(True) if not line.startswith("wall_time=")
+    )
+
+
+def attainer_stream():
+    """Relabeled copies of the extremal graphs of both sides at t = 1, 3
+    and 9 (K9, H(9,3), the empty graph and their complements) among seeded
+    random 9-vertex graphs, as graph6 lines."""
+    rng = random.Random(916)
+    extremal = [build_H(9, t) for t in (1, 3, 9)] + [build_turan(9, t) for t in (1, 3, 9)]
+    graphs = []
+    for i in range(42):
+        g = extremal[i % 6] if i % 2 else random_graph(rng, 9, (0.1, 0.5, 0.9)[i % 3])
+        graphs.append(permute(g, rng.sample(range(9), 9)))
+    return "".join(graph6_encode(g) + "\n" for g in graphs)
+
+
+@pytest.mark.parametrize("block_chars", [_BLOCK_CHARS, 64])
+def test_verify_blocks_match_line_by_line(capsys, monkeypatch, block_chars):
+    # the inputs share most of their lines: each distinct line is decoded,
+    # and each distinct graph and block counted, once over all t and sides,
+    # so the real block size runs in seconds
+    monkeypatch.setattr("mismax.codec.graph6_decode", lru_cache(maxsize=1 << 17)(graph6_decode))
+    for name in ("mis_size_profile", "maximal_clique_size_profile"):
+        monkeypatch.setattr(f"mismax.extremal.{name}", lru_cache(maxsize=1 << 17)(globals()[name]))
+    monkeypatch.setattr("mismax.extremal.mis_lane_counts", lru_cache(maxsize=32)(mis_lane_counts))
+    monkeypatch.setattr("mismax.codec._BLOCK_CHARS", block_chars)
+    cases = dict(count_cases(block_chars), attainers=attainer_stream())
+    for name, text in cases.items():
+        graphs = stream_graphs(text)
+        n = graphs[0].n if isinstance(graphs, list) and graphs else 0
+        for side in ("mis", "clique"):
+            for t in sorted({1, 3, n, n + 1} - {0}):
+                expected = verify_line_by_line(text, t, side)
+                assert verify_blocks(capsys, monkeypatch, text, t, side) == expected, (name, side, t)
+                if expected[0] == 2:
+                    break  # an error names no t, so one t per side shows it
+
+
+@pytest.mark.parametrize("block_chars", [_BLOCK_CHARS, 64])
+def test_verify_block_attainers_fall_back_to_forms(capsys, monkeypatch, block_chars):
+    # an attainer lane _is_extremal rejects is keyed by its canonical form
+    monkeypatch.setattr("mismax.codec._BLOCK_CHARS", block_chars)
+    text = attainer_stream()
+    runs = [(t, side) for side in ("mis", "clique") for t in (1, 3, 9)]
+    default = [verify_blocks(capsys, monkeypatch, text, t, side) for t, side in runs]
+    monkeypatch.setattr("mismax.extremal._is_extremal", lambda rows, t, turan: False)
+    assert [verify_blocks(capsys, monkeypatch, text, t, side) for t, side in runs] == default
+    assert [verify_line_by_line(text, t, side) for t, side in runs] == default
 
 
 def test_count_format_cache_is_bounded():
@@ -508,12 +595,14 @@ def test_verify_workers_clamped_to_cpus(capsys, monkeypatch, serial_pool):
         (["--workers", "0"], "--workers"),
         (["--workers", "1"], "--workers"),
         (["--n", "5", "--workers", "0"], "--n and --workers"),
+        (["--all-t"], "--all-t"),
     ],
 )
 def test_verify_input_rejects_scan_flags(capsys, monkeypatch, flags, named):
+    which_t = [] if "--all-t" in flags else ["--t", "1"]  # argparse refuses both
     code, out, err = run(
         capsys,
-        ["verify", "--input", "-", "--t", "1", *flags],
+        ["verify", "--input", "-", *which_t, *flags],
         stdin="A_\n",
         monkeypatch=monkeypatch,
     )

@@ -173,7 +173,7 @@ def test_decode_every_mask_up_to_5():
             assert graph6_decode(graph6_of_mask(n, mask)).adj == rows_by_bit_walk(n, mask)
 
 
-@pytest.mark.parametrize("n", range(6, 15))  # the character tables stop at 12
+@pytest.mark.parametrize("n", range(6, 15))  # across the block limit of order 12
 def test_decode_seeded(n):
     rng = random.Random(900 + n)
     nbits = n * (n - 1) // 2
@@ -202,7 +202,7 @@ def malformed_lines(n):
 
 
 # 9 and 13 have no padding bits, 10 and 14 have 3 and 5; 13 and 14 are above
-# the character tables
+# the orders read_graph6_blocks takes as blocks
 @pytest.mark.parametrize("n", [9, 10, 13, 14])
 def test_decode_error_messages_and_lines(n):
     valid = [graph6_of_mask(n, 0), graph6_of_mask(n, 1)]

@@ -230,23 +230,25 @@ def test_profile_matches_oracle_at_the_edges(n):
         assert mis_size_profile(g) == oracle_mis_size_profile(g)
 
 
-def lane_profiles(graphs):
+def lane_profiles(graphs, complement=True):
     """The per-graph count tuples of mis_lane_counts on one block of
     same-order graphs, its columns cut here from the graph6 strings."""
     lines = [graph6_encode(g) for g in graphs]
     n = graphs[0].n
     columns = [bytes(ord(line[c]) for line in lines) for c in range(1, len(lines[0]))]
-    return list(zip(*mis_lane_counts(n, len(lines), columns)))
+    return list(zip(*mis_lane_counts(n, len(lines), columns, complement)))
 
 
-def subset_profiles(graphs):
-    return [tuple(_subset_counts(g.adj, g.n, True)) for g in graphs]
+def subset_profiles(graphs, complement=True):
+    return [tuple(_subset_counts(g.adj, g.n, complement)) for g in graphs]
 
 
+# complement=False counts the maximal cliques, for the clique side of verify
 @pytest.mark.parametrize("n", range(6))
 def test_lane_counts_match_subset_scan_every_graph_up_to_5(n):
     graphs = [from_triangle_mask(n, mask) for mask in range(1 << (n * (n - 1) // 2))]
-    assert lane_profiles(graphs) == subset_profiles(graphs)
+    for complement in (True, False):
+        assert lane_profiles(graphs, complement) == subset_profiles(graphs, complement)
 
 
 @pytest.mark.parametrize("n", range(6, 13))
@@ -254,7 +256,8 @@ def test_lane_counts_match_subset_scan_every_graph_up_to_5(n):
 def test_lane_counts_match_subset_scan_seeded_blocks(n, p):
     rng = random.Random(1200 + 10 * n + int(10 * p))
     graphs = [random_graph(rng, n, p) for _ in range(40)]
-    assert lane_profiles(graphs) == subset_profiles(graphs)
+    for complement in (True, False):
+        assert lane_profiles(graphs, complement) == subset_profiles(graphs, complement)
 
 
 def test_lane_counts_reach_moon_moser_without_carry():
