@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator
 
-from .graph import Graph, from_triangle_mask, triangle_pairs
+from .graph import Graph, _bit_pairs, from_triangle_mask
 
 CANON_MAX_N = 10
 
@@ -83,16 +83,13 @@ def canonical_form(g: Graph) -> CanonicalForm:
 def _permutation_bit_tables(n: int, perm: list[int], width: int) -> list[list[int]]:
     """Two lookup tables, for mask bits below width and for the rest, whose
     entries OR to a triangle mask with a vertex permutation applied."""
-    pairs = triangle_pairs(n)
-    nbits = len(pairs)
-    bit_of = {p: nbits - 1 - k for k, p in enumerate(pairs)}
+    table = _bit_pairs(n)
+    nbits = len(table)
     # dest[b]: where the permutation sends the pair stored at mask bit b
     dest = []
-    for i, j in reversed(pairs):
-        a, b = perm[i], perm[j]
-        if a > b:
-            a, b = b, a
-        dest.append(bit_of[(a, b)])
+    for i, j, _, _ in table:
+        a, b = sorted((perm[i], perm[j]))
+        dest.append(table.index((a, b, 1 << a, 1 << b)))
     tables = []
     for first, stop in ((0, width), (width, nbits)):
         tab = [0] * (1 << (stop - first))

@@ -98,7 +98,7 @@ def cmd_count(args: argparse.Namespace) -> int:
             # format cache can hash
             k = item.n + 1
             rows = bytearray(k * item.size)
-            for s, column in enumerate(mis_lane_counts(item.n, item.size, item.columns)):
+            for s, column in enumerate(mis_lane_counts(item.n, item.size, item.edge_planes())):
                 rows[s::k] = column
             rows = bytes(rows)
             for first in range(0, item.size, _WRITE_LINES):

@@ -13,15 +13,23 @@ GRAPH6_HEADER = ">>graph6<<"
 GRAPH6_MAX_N = 62
 _GRAPH6_CHARS = bytes(range(63, 127))
 
-# Characters read_graph6_blocks reads at a time: 16,384 lines of order 9.
-# The lane kernel's search visits about the same vertex sets whatever the
-# block size, so a larger block spreads each set's cost over more graphs;
-# it also raises the peak memory of count.
+# Characters read_graph6_blocks reads at a time, before it completes the
+# line they stop in: 16,384 lines of order 9, plus one. The lane kernel's
+# search visits about the same vertex sets whatever the block size, so a
+# larger block spreads each set's cost over more graphs; it also raises the
+# peak memory of count.
 _BLOCK_CHARS = 1 << 17
 _LINE_CHARS = _GRAPH6_CHARS + b"\n"
 # entry pad: the data characters whose low pad bits are zero
 _ZERO_PAD_CHARS = tuple(
     bytes(c for c in _GRAPH6_CHARS if not (c - 63) & ((1 << pad) - 1)) for pad in range(6)
+)
+# Entry b maps a data character to the digit "1" where its bit b, counted
+# from the most significant of its 6 bits, is set: the pair at that bit is
+# an edge.
+_EDGE_DIGITS = tuple(
+    bytes.maketrans(_GRAPH6_CHARS, bytes(b"01"[(c - 63) >> (5 - b) & 1] for c in _GRAPH6_CHARS))
+    for b in range(6)
 )
 
 
@@ -157,6 +165,15 @@ class Graph6Block(namedtuple("Graph6Block", "n size columns")):
             bitstream = bitstream << 6 | column[g] - 63
         return bitstream >> 6 * len(self.columns) - self.n * (self.n - 1) // 2
 
+    def edge_planes(self) -> tuple[int, ...]:
+        """Per pair p in triangle_pairs order, an int whose bit g is set where
+        line g has the pair. The pair's bit lies in column p // 6, and one
+        translate of that column to binary digits, reversed, gives its plane."""
+        return tuple(
+            int(self.columns[p // 6].translate(_EDGE_DIGITS[p % 6])[::-1], 2)
+            for p in range(self.n * (self.n - 1) // 2)
+        )
+
 
 def _graph6_block(text: str) -> Graph6Block | None:
     """The lines of text as one block, or None unless every line is a bare
@@ -166,7 +183,7 @@ def _graph6_block(text: str) -> Graph6Block | None:
     with no object per line."""
     if text.startswith(GRAPH6_HEADER):
         text = text[len(GRAPH6_HEADER):]
-    if not text.isascii():
+    if not (text.endswith("\n") and text.isascii()):
         return None
     raw = text.encode("ascii")
     n = raw[0] - 63
@@ -191,37 +208,24 @@ def read_graph6_blocks(fh: io.TextIOBase) -> Iterator[Graph6Block | Graph]:
     """Yield the graphs of a graph6 text stream, in file order, as blocks of
     same-order lines where it can.
 
-    The text is read _BLOCK_CHARS characters at a time and cut after its
-    last newline. Each cut that _graph6_block takes comes out as one
-    Graph6Block. A cut it refuses, with the rest of the line the cut stops
-    in, goes through read_graph6_stream, one Graph per line, and the next
-    cut starts after it. The line numbers run on, so the errors name the
-    same line as for the whole stream. From a refused cut whose last line is
-    blank, the rest of the stream goes line by line.
+    The text is read _BLOCK_CHARS characters at a time, plus the rest of
+    the line they stop in. Each such cut that _graph6_block takes comes out
+    as one Graph6Block. A cut it refuses goes through read_graph6_stream,
+    one Graph per line, and the next cut starts after it. The line numbers
+    run on, so the errors name the same line as for the whole stream. From
+    a refused cut whose last line is blank, the rest of the stream goes
+    line by line.
     """
     lineno = 1
-    text = ""
-    while True:
-        chunk = fh.read(_BLOCK_CHARS)
-        text += chunk
-        cut = text.rfind("\n") + 1
-        if not (chunk and cut):
-            break
-        block = _graph6_block(text[:cut])
+    while text := fh.read(_BLOCK_CHARS) + fh.readline():
+        block = _graph6_block(text)
         if block is not None:
             yield block
             lineno += block.size
-            text = text[cut:]
             continue
-        text += fh.readline()
         if not text[text.rfind("\n", 0, -1) + 1:].strip():
             # a blank line is an error only if a line follows it
             yield from read_graph6_stream(chain(io.StringIO(text), fh), start=lineno)
             return
         yield from read_graph6_stream(io.StringIO(text), start=lineno)
         lineno += text.count("\n")
-        text = ""
-    # the rest of the line the text stops in, so it splits into the file's lines
-    if chunk:
-        text += fh.readline()
-    yield from read_graph6_stream(chain(io.StringIO(text), fh), start=lineno)

@@ -4,9 +4,9 @@ Maximal independent sets are counted as the maximal cliques of the
 complement graph. Up to _TABLE_MAX_N vertices the counter scans all 2^n
 vertex sets at once, one bit per set in a big-int bitset; above it, and
 where the proof trace visits the cliques one by one, it runs pivoted
-Bron-Kerbosch. A block of graph6 lines of one order is counted by one
-depth-first search over vertex sets, one graph per bit lane of each big int,
-into bit-sliced counters. A per-subset oracle provides an independent
+Bron-Kerbosch. A block of graphs of one order, given as one edge plane per
+pair, is counted by one depth-first search over vertex sets, one graph per
+bit lane of each big int, into bit-sliced counters. A per-subset oracle provides an independent
 cross-check for small orders.
 """
 
@@ -25,13 +25,6 @@ ORACLE_MAX_N = 24
 # Largest count a byte lane of mis_lane_counts' result holds.
 _LANE_MAX = 255
 
-# Entry b maps a graph6 data character to the digit "1" where its bit b,
-# counted from the most significant of its 6 bits, is clear: the pair at that
-# bit is a non-edge.
-_NONEDGE_DIGITS = tuple(
-    bytes(ord("1") - ((x - 63) >> (5 - b) & 1) if 63 <= x <= 126 else ord("0") for x in range(256))
-    for b in range(6)
-)
 # "0"/"1" to the byte 0/1, for the lanes of a counter's plane
 _DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -89,6 +82,8 @@ def _expand(adj: tuple[int, ...], visit, rmask: int, rsize: int, p: int, x: int)
         cand &= cand - 1
 
 
+# (width, stride): the subset tables at stride 1, the exhaustive scan at 8
+@lru_cache(maxsize=2 * (_TABLE_MAX_N + 1))
 def _submasks(width: int, stride: int) -> tuple[int, ...]:
     """Entry x has a 1 at bit stride*s for every submask s of x, for x below 2^width."""
     table = [1]
@@ -133,7 +128,7 @@ def _subset_counts(adj: tuple[int, ...], n: int, complement: bool) -> list[int]:
 
 
 def mis_lane_counts(
-    n: int, lanes: int, columns: Sequence[bytes], complement: bool = True
+    n: int, lanes: int, edges: Sequence[int], complement: bool = True
 ) -> list[bytes]:
     """Per-size counts of the maximal independent sets of a block of `lanes`
     graphs of order n: byte g of entry s is the number of maximal
@@ -141,11 +136,9 @@ def mis_lane_counts(
     the maximal cliques instead: the search runs on the complement of each
     graph, whose non-edge planes are the edge planes of the block.
 
-    columns[c] holds data character c of every graph's short-form graph6
-    string, byte g for graph g, as read_graph6_blocks checks and cuts them.
-    The bit of pair p (triangle_pairs order) lies in column p // 6, and one
-    translate of that column to binary digits, reversed, gives its non-edge
-    plane: a big int with bit g set where graph g lacks the pair.
+    edges[p] is the edge plane of pair p (triangle_pairs order), a big int
+    with bit g set where graph g has the pair, as Graph6Block.edge_planes
+    makes them; XOR with every lane gives the non-edge plane.
 
     A depth-first search visits the vertex sets S in ascending order, with
     the lanes ind where S is independent and, per vertex v, the lanes free[v]
@@ -166,10 +159,9 @@ def mis_lane_counts(
     if not lanes:
         return [b""] * (n + 1)
     everywhere = (1 << lanes) - 1
-    flip = 0 if complement else everywhere
+    flip = everywhere if complement else 0
     nonedge = [[0] * n for _ in range(n)]
-    for p, (i, j) in enumerate(triangle_pairs(n)):
-        plane = int(columns[p // 6].translate(_NONEDGE_DIGITS[p % 6])[::-1], 2)
+    for plane, (i, j) in zip(edges, triangle_pairs(n), strict=True):
         nonedge[i][j] = nonedge[j][i] = plane ^ flip
     counters: list[list[int]] = [[] for _ in range(n + 1)]
 

@@ -38,7 +38,7 @@ from .counting import (
 )
 from .graph import (
     MAX_VERTICES,
-    _extension_rows,
+    _bit_pairs,
     _rows_from_mask,
     Graph,
     bits,
@@ -48,7 +48,6 @@ from .graph import (
     disjoint_union,
     empty_graph,
     from_edges,
-    from_triangle_mask,
     induced_subgraph,
     min_degree,
     triangle_mask,
@@ -257,6 +256,15 @@ def _attainer_form(g: Graph) -> CanonicalForm:
     return canonical_form(g)
 
 
+def _attainer_key(n: int, rows: tuple[int, ...], t: int, turan: bool) -> Hashable:
+    """The key _report takes for an attainer with these adjacency rows:
+    _EXTREMAL if _is_extremal recognizes it, its _attainer_form otherwise."""
+    if _is_extremal(rows, t, turan):
+        return _EXTREMAL
+    # rows of a Graph or of a mask need no re-check
+    return _attainer_form(Graph._make((n, rows)))
+
+
 def _report(
     n: int,
     t: int,
@@ -302,9 +310,10 @@ def _report(
 
 
 @lru_cache(maxsize=EXHAUSTIVE_MAX_N)
-def _spread(width: int) -> tuple[int, ...]:
-    """Entry x has a 1 in byte s for every submask s of x, for x below 2^width."""
-    return _submasks(width, 8)
+def _frame_pairs(m: int) -> tuple[tuple[int, int, int, int], ...]:
+    """graph._bit_pairs(m) relabeled v -> m - v: the pairs of G'' in the
+    frame of the exhaustive scan, where vertex 0 is left free for j."""
+    return tuple((m - i, m - j, 1 << m - i, 1 << m - j) for i, j, _, _ in _bit_pairs(m))
 
 
 def _extension_counts(n: int, hh: int) -> list[bytes]:
@@ -312,12 +321,17 @@ def _extension_counts(n: int, hh: int) -> list[bytes]:
     G with triangle mask hh << (2n-3) | aa << (n-1) | nb: byte aa << (n-1) | nb
     of entry s counts size s, so the bytes run in mask order.
 
-    In the frame of _extension_rows, G'' = G - {j, k} for j = n-2 and
-    k = n-1 has mask hh, j is bit 0, a = aa << 1 is the neighbourhood of j
-    and nb that of k. By the split in the module docstring, a clique D' of
-    G' = G - k with common neighbourhood cn(D') in G' counts {k} + D' on each
-    nb with D' inside nb and nb disjoint from cn(D'), and, if cn(D') is
-    empty, D' itself on each nb that does not hold D'. The cliques of G' are
+    The frame relabels G'' = G - {j, k}, for j = n-2 and k = n-1, by
+    v -> n-2-v (_frame_pairs) and gives j the vertex 0, with an empty row.
+    The low n-1 bits nb of the mask hold the pairs of k, bit b the pair
+    (n-2-b, k), and the next n-2 bits aa those of j, bit b the pair
+    (n-3-b, j); in the frame, nb is the neighbourhood of k and a = aa << 1
+    that of j, both vertex sets of G' = G - k.
+
+    By the split in the module docstring, a clique D' of G' with common
+    neighbourhood cn(D') in G' counts {k} + D' on each nb with D' inside nb
+    and nb disjoint from cn(D'), and, if cn(D') is empty, D' itself on each
+    nb that does not hold D'. The cliques of G' are
     the cliques D of G'' and, for D inside a, the cliques D + j, with
     cn(D + j) = cn(D) & a. So one depth-first enumeration of the cliques D of
     G'' (empty D included), with cn(D) taken in G'', fills
@@ -337,8 +351,8 @@ def _extension_counts(n: int, hh: int) -> list[bytes]:
         return [b"\x00", b"\x01"]  # K1 has no pair to split off
     m = n - 1
     full = (1 << m) - 1
-    rows = _extension_rows(n, hh)
-    spread = _spread(m)
+    rows = _rows_from_mask(m, hh, _frame_pairs(n - 2))
+    spread = _submasks(m, 8)
     everywhere = spread[full]
     base = [0] * (n + 1)
     delta = [[0] * (n + 1) for _ in range(1 << (n - 2))]
@@ -459,16 +473,12 @@ def _exhaustive_reports(
             f"exhaustive scan covered {covered} of the {total} labeled graphs on {n} vertices"
         )
 
-    # the masks are clique-side attainers: the MIS attainer is the complement,
-    # and either is the side's extremal graph iff the mask is T(n,t)
+    # the masks are clique-side attainers: the MIS attainer is the complement
     flip = total - 1 if side == "mis" else 0  # XOR with all edges complements
 
     def keys(t: int) -> Iterable[Hashable]:
         for mask in attainer_masks[t]:
-            if _is_extremal(_rows_from_mask(n, mask), t, turan=True):
-                yield _EXTREMAL
-            else:
-                yield _attainer_form(from_triangle_mask(n, mask ^ flip))
+            yield _attainer_key(n, _rows_from_mask(n, mask ^ flip), t, side == "clique")
 
     return [
         _report(n, t, side, max_counts[t], keys(t), covered, f"exhaustive-labeled({n})")
@@ -536,8 +546,8 @@ def verify_bound_stream(
 
     A block is counted by one mis_lane_counts call, on the non-edge planes
     for the MIS side and on the edge planes for the clique side, and only
-    its attainer lanes are decoded, to rows that _is_extremal tests; a
-    Graph item is counted on its own. Uniqueness is not certified for
+    its attainer lanes are decoded, each distinct mask once, to rows that
+    _attainer_key tests; a Graph item is counted on its own. Uniqueness is not certified for
     streams (coverage is not exhaustive); unique_attainer reflects only the
     graphs seen. Attainers are keyed as they arrive, the recognized extremal
     graph by one sentinel and any other attainer by its form, and _report
@@ -568,14 +578,13 @@ def verify_bound_stream(
             attainers = [item.adj] if c == f and f else []  # f = 0, see _report
         else:
             examined += item.size
-            counts = mis_lane_counts(n, item.size, item.columns, complement=not turan)
+            counts = mis_lane_counts(n, item.size, item.edge_planes(), complement=not turan)
             max_observed, lanes = _lane_reduce(counts[t] if t <= n else b"", max_observed, f)
-            attainers = [_rows_from_mask(n, item.lane_mask(lane)) for lane in lanes]
+            # a repeated mask would give a key that keys already holds
+            masks = dict.fromkeys(map(item.lane_mask, lanes))
+            attainers = [_rows_from_mask(n, mask) for mask in masks]
         for rows in attainers:
-            if _is_extremal(rows, t, turan):
-                keys[_EXTREMAL] = None
-            else:  # rows of a Graph or of a mask need no re-check
-                keys[_attainer_form(Graph._make((n, rows)))] = None
+            keys[_attainer_key(n, rows, t, turan)] = None
     if n is None:
         raise ValueError("empty graph stream")
     return _report(n, t, side, max_observed, keys, examined, f"stream({source})")

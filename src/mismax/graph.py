@@ -164,9 +164,11 @@ def _bit_pairs(n: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple((i, j, 1 << i, 1 << j) for i, j in reversed(triangle_pairs(n)))
 
 
-def _rows_from_mask(n: int, mask: int) -> tuple[int, ...]:
-    """Adjacency rows of the triangle mask, by a walk over its set bits."""
-    table = _bit_pairs(n)
+def _rows_from_mask(n: int, mask: int, table: tuple | None = None) -> tuple[int, ...]:
+    """Adjacency rows of the triangle mask, by a walk over its set bits; the
+    pair at bit b is table[b], _bit_pairs(n) unless a relabeling is given."""
+    if table is None:
+        table = _bit_pairs(n)
     rows = [0] * n
     while mask:
         low = mask & -mask
@@ -175,27 +177,6 @@ def _rows_from_mask(n: int, mask: int) -> tuple[int, ...]:
         rows[j] |= bi
         mask ^= low
     return tuple(rows)
-
-
-@lru_cache(maxsize=MAX_VERTICES + 1)
-def _reversed_bits(width: int) -> tuple[int, ...]:
-    """Entry x is x with its low `width` bits in reverse order."""
-    return tuple(int(format(x, f"0{width}b")[::-1], 2) for x in range(1 << width))
-
-
-def _extension_rows(n: int, hh: int) -> tuple[int, ...]:
-    """Adjacency rows of G - {n-2, n-1} for the n-vertex graphs G (n >= 2)
-    with triangle mask hh << (2n-3) | aa << (n-1) | nb, relabeled v -> n-2-v,
-    after an empty row 0 for vertex n-2.
-
-    The low n-1 bits nb of such a mask hold the pairs of vertex n-1, bit b the
-    pair (n-2-b, n-1), and the next n-2 bits aa those of vertex n-2, bit b the
-    pair (n-3-b, n-2). After the relabeling a vertex set of G - (n-1), the
-    neighbourhood nb of vertex n-1 and the neighbourhood aa << 1 of vertex n-2
-    are the same kind of mask.
-    """
-    rev = _reversed_bits(n - 2)
-    return (0,) + tuple(rev[row] << 1 for row in reversed(_rows_from_mask(n - 2, hh)))
 
 
 def triangle_mask(g: Graph) -> int:

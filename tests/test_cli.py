@@ -408,7 +408,7 @@ def test_count_memory_stays_flat_over_blocks(monkeypatch):
     finally:
         tracemalloc.stop()
     assert (code, sink.lines) == (0, lines)
-    assert sink.last.startswith(f"graph={lines - 100} n=9 ")
+    assert sink.last.startswith(f"graph={lines - 97} n=9 ")
     assert peak < 3 * 2**20
 
 

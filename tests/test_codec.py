@@ -16,6 +16,7 @@ from mismax import (
 )
 
 from mismax.codec import Graph6Block, _graph6_block, read_graph6_blocks
+from mismax.graph import triangle_mask
 
 from conftest import path_graph, random_graph, rows_by_bit_walk
 
@@ -229,6 +230,20 @@ def test_graph6_block_cuts_valid_lines_into_columns(n):
     assert _graph6_block(text_of(lines)) == Graph6Block(n, 20, columns)
 
 
+# orders 2, 3, 5, 6, 7, 8, 10 and 11 pad their last character; 70 lanes
+# make planes longer than a machine word
+@pytest.mark.parametrize("n", range(13))
+def test_edge_planes_hold_the_pair_bits_of_each_line(n):
+    rng = random.Random(f"planes:{n}")
+    nbits = n * (n - 1) // 2
+    lines = [graph6_of_mask(n, rng.getrandbits(nbits)) for _ in range(70)]
+    masks = [triangle_mask(graph6_decode(line)) for line in lines]
+    planes = _graph6_block(text_of(lines)).edge_planes()
+    assert len(planes) == nbits
+    for p, plane in enumerate(planes):
+        assert plane == sum((mask >> nbits - 1 - p & 1) << g for g, mask in enumerate(masks)), p
+
+
 @pytest.mark.parametrize("n", [9, 10])
 def test_graph6_block_refuses_what_decode_refuses(n):
     valid = [graph6_of_mask(n, 0), graph6_of_mask(n, 1)]
@@ -246,6 +261,8 @@ def test_graph6_block_refuses_what_decode_refuses(n):
         "A_\nBw\n",  # orders 2 and 3 have lines of one length
         "@\n?\n",
         graph6_of_mask(13, 0) + "\n",  # above the lane kernel's orders
+        "",
+        ">>graph6<<",  # a header alone at the end of the stream
     ],
 )
 def test_graph6_block_refuses_other_layouts(text):
@@ -254,44 +271,47 @@ def test_graph6_block_refuses_other_layouts(text):
 
 def test_read_graph6_blocks_goes_line_by_line_from_the_first_refused_block(monkeypatch):
     monkeypatch.setattr("mismax.codec._BLOCK_CHARS", 8)
-    # the first 8 characters hold two whole lines; the next cut mixes orders
+    # the first 8 characters and the rest of their line hold three whole
+    # lines; the next cut mixes orders
     items = list(read_graph6_blocks(io.StringIO("Bw\nBo\nBw\nBo\nA_\nBw\n")))
-    assert items[0] == Graph6Block(3, 2, (b"wo",))
-    assert items[1:] == [graph6_decode(line) for line in ["Bw", "Bo", "A_", "Bw"]]
+    assert items[0] == Graph6Block(3, 3, (b"wow",))
+    assert items[1:] == [graph6_decode(line) for line in ["Bo", "A_", "Bw"]]
     with pytest.raises(CodecError, match="^line 5: "):
         list(read_graph6_blocks(io.StringIO("Bw\nBo\nBw\nBo\nA\n")))
 
 
 def test_read_graph6_blocks_skip_a_header(monkeypatch):
     # 40 lines of order 9, 8 characters with the newline; the header and 6
-    # lines fill the first 64-character cut, 8 lines each later one
+    # lines fill the first 64 characters, which stop in the 7th line; each
+    # later 64 characters hold 8 lines and stop at a line's end, so each
+    # later cut reads one more line
     monkeypatch.setattr("mismax.codec._BLOCK_CHARS", 64)
     lines = [graph6_of_mask(9, mask * 0x2F1D3) for mask in range(40)]
     items = list(read_graph6_blocks(io.StringIO(">>graph6<<" + text_of(lines))))
-    cuts = [0, 6, 14, 22, 30, 38, 40]
+    cuts = [0, 7, 16, 25, 34, 40]
     assert items == [_graph6_block(text_of(lines[a:b])) for a, b in zip(cuts, cuts[1:])]
 
 
 def test_read_graph6_blocks_resume_blocks_after_a_refused_cut(monkeypatch):
     # an order-8 line refuses the first cut, which stops in the 8th line of
-    # order 9; from the 9th on, every cut is a block again
+    # order 9; from the 9th on, every cut is a block again, of 9 lines
     monkeypatch.setattr("mismax.codec._BLOCK_CHARS", 64)
     lines = [graph6_of_mask(9, mask * 0x2F1D3) for mask in range(40)]
     items = list(read_graph6_blocks(io.StringIO(text_of(["G?????", *lines]))))
     assert items[:9] == [graph6_decode(line) for line in ["G?????", *lines[:8]]]
-    assert items[9:] == [_graph6_block(text_of(lines[k:k + 8])) for k in range(8, 40, 8)]
+    assert items[9:] == [_graph6_block(text_of(lines[k:k + 9])) for k in range(8, 40, 9)]
 
 
 def test_read_graph6_blocks_errors_after_resuming_name_their_line(monkeypatch):
     monkeypatch.setattr("mismax.codec._BLOCK_CHARS", 64)
     lines = [graph6_of_mask(9, mask) for mask in range(40)]
     lines[1] = "G?????"  # refuses the first cut, which ends after line 9
-    lines[30] = lines[30][:-1]  # too short, in the cut of lines 26 to 34
+    lines[30] = lines[30][:-1]  # too short, in the cut of lines 28 to 36
     items = []
     with pytest.raises(CodecError, match="^line 31: graph6 string length 6 wrong"):
         items.extend(read_graph6_blocks(io.StringIO(text_of(lines))))
-    assert items[9:11] == [_graph6_block(text_of(lines[k:k + 8])) for k in (9, 17)]
-    assert items[11:] == [graph6_decode(line) for line in lines[25:30]]
+    assert items[9:11] == [_graph6_block(text_of(lines[k:k + 9])) for k in (9, 18)]
+    assert items[11:] == [graph6_decode(line) for line in lines[27:30]]
 
 
 def test_read_graph6_stream_numbers_from_start():

@@ -16,7 +16,7 @@ from mismax import (
     mis_size_profile,
     oracle_mis_size_profile,
 )
-from mismax.codec import _BLOCK_CHARS, read_graph6_blocks
+from mismax.codec import _BLOCK_CHARS, Graph6Block, read_graph6_blocks
 from mismax.counting import (
     _LANE_MAX,
     _expand,
@@ -26,7 +26,7 @@ from mismax.counting import (
     polynomial_string,
 )
 from mismax.extremal import build_turan
-from mismax.graph import _complement_rows, bits, from_triangle_mask
+from mismax.graph import _complement_rows, bits, from_triangle_mask, triangle_pairs
 
 from conftest import (
     cycle_graph,
@@ -236,7 +236,8 @@ def lane_profiles(graphs, complement=True):
     lines = [graph6_encode(g) for g in graphs]
     n = graphs[0].n
     columns = [bytes(ord(line[c]) for line in lines) for c in range(1, len(lines[0]))]
-    return list(zip(*mis_lane_counts(n, len(lines), columns, complement)))
+    planes = Graph6Block(n, len(lines), columns).edge_planes()
+    return list(zip(*mis_lane_counts(n, len(lines), planes, complement)))
 
 
 def subset_profiles(graphs, complement=True):
@@ -249,6 +250,19 @@ def test_lane_counts_match_subset_scan_every_graph_up_to_5(n):
     graphs = [from_triangle_mask(n, mask) for mask in range(1 << (n * (n - 1) // 2))]
     for complement in (True, False):
         assert lane_profiles(graphs, complement) == subset_profiles(graphs, complement)
+
+
+# planes built straight from the rows, with no graph6 in between
+@pytest.mark.parametrize("n", range(6))
+def test_lane_counts_on_planes_from_rows_every_graph_up_to_5(n):
+    graphs = [from_triangle_mask(n, mask) for mask in range(1 << (n * (n - 1) // 2))]
+    planes = [
+        sum((g.adj[i] >> j & 1) << lane for lane, g in enumerate(graphs))
+        for i, j in triangle_pairs(n)
+    ]
+    for complement in (True, False):
+        got = list(zip(*mis_lane_counts(n, len(graphs), planes, complement)))
+        assert got == subset_profiles(graphs, complement)
 
 
 @pytest.mark.parametrize("n", range(6, 13))
@@ -288,7 +302,7 @@ def test_lane_counts_match_subset_scan_on_a_full_block():
     graphs[0], graphs[-1] = build_H(9, 3), build_H(9, 4)
     [block] = read_graph6_blocks(io.StringIO("".join(graph6_encode(g) + "\n" for g in graphs)))
     assert block.size == len(graphs)
-    lanes = mis_lane_counts(block.n, block.size, block.columns)
+    lanes = mis_lane_counts(block.n, block.size, block.edge_planes())
     assert list(zip(*lanes)) == subset_profiles(graphs)
 
 

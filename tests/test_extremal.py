@@ -1,3 +1,4 @@
+import io
 import multiprocessing
 import random
 import tracemalloc
@@ -29,10 +30,10 @@ from mismax import (
 )
 from mismax import extremal
 from mismax.canon import _orbit_representatives
-from mismax.codec import graph6_encode
+from mismax.codec import graph6_encode, read_graph6_blocks
 from mismax.counting import maximal_clique_counts
 from mismax.extremal import auto_split_vertex
-from mismax.graph import from_triangle_mask
+from mismax.graph import _rows_from_mask, from_triangle_mask
 
 from conftest import (
     graphs,
@@ -346,6 +347,17 @@ def _check_block(n, hh):
         assert got == maximal_clique_counts(rows_by_bit_walk(n, mask), n), (n, mask)
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_scan_frame_relabels_g2_every_mask(n):
+    # G'' = G - {n-2, n-1} relabeled v -> n-2-v, after an empty row 0 for j
+    for hh in range(1 << (n - 2) * (n - 3) // 2):
+        expected = [0] * (n - 1)
+        for u, v in from_triangle_mask(n - 2, hh).edges():
+            expected[n - 2 - u] |= 1 << n - 2 - v
+            expected[n - 2 - v] |= 1 << n - 2 - u
+        assert _rows_from_mask(n - 1, hh, extremal._frame_pairs(n - 2)) == tuple(expected), hh
+
+
 def test_extension_counts_match_bk_every_graph_up_to_6():
     for n in range(1, 7):
         for hh in range(1 << max(n - 2, 0) * max(n - 3, 0) // 2):
@@ -492,6 +504,22 @@ def test_canonical_form_runs_once_per_report(monkeypatch):
         reports = run()
         assert len(calls) == len(reports)
         assert all(r.unique_attainer for r in reports)
+
+
+def test_stream_block_tests_a_repeated_attainer_once(monkeypatch):
+    line = graph6_encode(_relabeled(random.Random("once"), build_H(9, 3)))
+    [block] = read_graph6_blocks(io.StringIO(f"{line}\n" * 1000))
+    calls = []
+    is_extremal = extremal._is_extremal
+
+    def spy(rows, t, turan):
+        calls.append(rows)
+        return is_extremal(rows, t, turan)
+
+    monkeypatch.setattr(extremal, "_is_extremal", spy)
+    report = verify_bound_stream([block], 3)
+    assert len(calls) == 1
+    assert report.unique_attainer and report.graphs_examined == 1000
 
 
 def test_stream_above_canon_max_n(monkeypatch):
