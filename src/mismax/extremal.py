@@ -203,10 +203,12 @@ class ExtremalReport(namedtuple(
     label.
 
     attainers is a tuple of CanonicalForm, one per isomorphism class
-    attaining f, in first-seen order. Above CANON_MAX_N a form's key is not
-    canonical: the extremal graph is keyed by the triangle mask of
-    build_H/build_turan, and any other attainer by its own triangle mask,
-    which coverage flags with the suffix ",uncanonical".
+    attaining f, in first-seen order. The extremal graph's form is built in
+    closed form, and canonical_form runs only on unrecognized attainers.
+    Above CANON_MAX_N a form's key is not canonical: the extremal graph is
+    keyed by the triangle mask of build_H/build_turan, and any other
+    attainer by its own triangle mask, which coverage flags with the
+    suffix ",uncanonical".
     """
 
     __slots__ = ()
@@ -244,25 +246,75 @@ def _is_extremal(rows: Sequence[int], t: int, turan: bool) -> bool:
     return parts == t
 
 
-# stands for every attainer _is_extremal recognizes, until _report forms it
+def _p3_free_lanes(n: int, size: int, planes: Sequence[int], turan: bool) -> int:
+    """Bit g set where lane g's graph, given by its edge planes (one per
+    pair, in triangle_pairs order), has no induced P3, three vertices with
+    exactly two edges; if turan, where its complement has none.
+
+    A graph without an induced P3 is a disjoint union of cliques, and its
+    maximal independent sets take one vertex of each clique. So if it has
+    f(n,t) > 0 of size t, it has exactly t cliques, whose sizes sum to n
+    and multiply to f(n,t); only the sizes q and q+1 reach that product, so
+    the graph is H(n,t). With complements, the same holds for T(n,t) and
+    maximal cliques. An attainer lane with its bit set needs no decode.
+    """
+    everywhere = (1 << size) - 1
+    if turan:
+        planes = [plane ^ everywhere for plane in planes]
+    bad = 0
+    for k in range(2, n):
+        above = k * (k - 1) // 2  # the pairs (i, k) start here
+        for j in range(1, k):
+            c = planes[above + j]
+            jk = j * (j - 1) // 2
+            for i in range(j):
+                a, b = planes[jk + i], planes[above + i]  # (i, j), (i, k)
+                bad |= a & (b ^ c) | b & c & ~a
+    return everywhere & ~bad
+
+
+# stands for every attainer _is_extremal or _p3_free_lanes recognizes, until
+# _report forms it
 _EXTREMAL = object()
-
-
-def _attainer_form(g: Graph) -> CanonicalForm:
-    """canonical_form(g), or above CANON_MAX_N the form keyed by g's own
-    triangle mask, which dedupes labeled copies only."""
-    if g.n > CANON_MAX_N:
-        return CanonicalForm(g.n, triangle_mask(g))
-    return canonical_form(g)
 
 
 def _attainer_key(n: int, rows: tuple[int, ...], t: int, turan: bool) -> Hashable:
     """The key _report takes for an attainer with these adjacency rows:
-    _EXTREMAL if _is_extremal recognizes it, its _attainer_form otherwise."""
+    _EXTREMAL if _is_extremal recognizes it, and its form otherwise, so
+    canonical_form runs only on an attainer _is_extremal rejects. Above
+    CANON_MAX_N the form is keyed by the attainer's own triangle mask,
+    which dedupes labeled copies only."""
     if _is_extremal(rows, t, turan):
         return _EXTREMAL
-    # rows of a Graph or of a mask need no re-check
-    return _attainer_form(Graph._make((n, rows)))
+    g = Graph._make((n, rows))  # rows of a Graph or of a mask need no re-check
+    return CanonicalForm(n, triangle_mask(g)) if n > CANON_MAX_N else canonical_form(g)
+
+
+def _extremal_form(n: int, t: int, turan: bool) -> CanonicalForm:
+    """The form of H(n,t), or of T(n,t) if turan, in a closed form that
+    equals canonical_form's up to CANON_MAX_N, with no search; above it,
+    the triangle mask of build_H/build_turan.
+
+    The key is the triangle mask of the graph in this vertex order. In H:
+    one vertex of each clique, the q-cliques before the (q+1)-cliques, so
+    that the first t columns are empty; then the rest of each clique, from
+    the one whose first vertex came last. In T: the parts one after
+    another, the (q+1)-parts first. Two vertices are adjacent in H when
+    they share a part and in T when they do not.
+    """
+    if n > CANON_MAX_N:
+        return CanonicalForm(n, triangle_mask(build_turan(n, t) if turan else build_H(n, t)))
+    q, r = divmod(n, t)
+    if turan:
+        part = [p for p, size in enumerate([q + 1] * r + [q] * (t - r)) for _ in range(size)]
+    else:
+        sizes = [q] * (t - r) + [q + 1] * r
+        part = list(range(t)) + [p for p in reversed(range(t)) for _ in range(sizes[p] - 1)]
+    key = 0
+    for v in range(n):
+        for u in range(v):
+            key = key << 1 | ((part[u] == part[v]) != turan)
+    return CanonicalForm(n, key)
 
 
 def _report(
@@ -277,12 +329,13 @@ def _report(
     """Shared tail of both verifiers: dedupe the attainer keys in first-seen
     order and compare them with the extremal graph of the side.
 
-    A key is _EXTREMAL for an attainer _is_extremal recognized as the
-    side's extremal graph, and the attainer's _attainer_form otherwise. The
-    sentinel is swapped for the form of build_H/build_turan, made once per
-    report, so canonical_form runs only on that graph and on unrecognized
-    attainers. The coverage gains ",uncanonical" if an unrecognized
-    attainer above CANON_MAX_N is reported by its own labeling.
+    A key is _EXTREMAL for an attainer recognized as the side's extremal
+    graph, by _is_extremal or _p3_free_lanes, and the attainer's form (see
+    _attainer_key) otherwise. The sentinel is swapped for _extremal_form,
+    made once per report in closed form, so canonical_form runs only on
+    unrecognized attainers. The coverage gains ",uncanonical" if an
+    unrecognized attainer above CANON_MAX_N is reported by its own
+    labeling.
     """
     f = bound_f(n, t).f
     attainers: tuple[CanonicalForm, ...] = ()
@@ -291,7 +344,7 @@ def _report(
     # extremal graph exists
     distinct = dict.fromkeys(keys)
     if distinct:
-        expected = _attainer_form(build_H(n, t) if side == "mis" else build_turan(n, t))
+        expected = _extremal_form(n, t, side == "clique")
         attainers = tuple(expected if key is _EXTREMAL else key for key in distinct)
         unique = attainers == (expected,)
         if n > CANON_MAX_N and any(key is not _EXTREMAL for key in distinct):
@@ -545,14 +598,17 @@ def verify_bound_stream(
     graphs: the items of read_graph6_blocks, or plain Graphs.
 
     A block is counted by one mis_lane_counts call, on the non-edge planes
-    for the MIS side and on the edge planes for the clique side, and only
-    its attainer lanes are decoded, each distinct mask once, to rows that
-    _attainer_key tests; a Graph item is counted on its own. Uniqueness is not certified for
-    streams (coverage is not exhaustive); unique_attainer reflects only the
-    graphs seen. Attainers are keyed as they arrive, the recognized extremal
+    for the MIS side and on the edge planes for the clique side. Its
+    attainer lanes that _p3_free_lanes sets are the extremal graph; only
+    the others are decoded, each distinct mask once, to rows that
+    _attainer_key tests. A Graph item is counted and keyed on its own.
+    Uniqueness is not certified for streams (coverage is not exhaustive);
+    unique_attainer reflects only the graphs seen. Attainers are keyed as
+    they arrive, in lane order within a block, the recognized extremal
     graph by one sentinel and any other attainer by its form, and _report
-    dedupes the keys in first-seen order. No order is too large: above
-    CANON_MAX_N the forms are not canonical (see ExtremalReport).
+    dedupes the keys in first-seen order, so canonical_form runs only on
+    unrecognized attainers. No order is too large: above CANON_MAX_N the
+    forms are not canonical (see ExtremalReport).
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -575,16 +631,23 @@ def verify_bound_stream(
             profile = maximal_clique_size_profile(item) if turan else mis_size_profile(item)
             c = profile.get(t)
             max_observed = max(max_observed, c)
-            attainers = [item.adj] if c == f and f else []  # f = 0, see _report
+            if c == f and f:  # f = 0, see _report
+                keys[_attainer_key(n, item.adj, t, turan)] = None
         else:
             examined += item.size
-            counts = mis_lane_counts(n, item.size, item.edge_planes(), complement=not turan)
+            planes = item.edge_planes()
+            counts = mis_lane_counts(n, item.size, planes, complement=not turan)
             max_observed, lanes = _lane_reduce(counts[t] if t <= n else b"", max_observed, f)
-            # a repeated mask would give a key that keys already holds
-            masks = dict.fromkeys(map(item.lane_mask, lanes))
-            attainers = [_rows_from_mask(n, mask) for mask in masks]
-        for rows in attainers:
-            keys[_attainer_key(n, rows, t, turan)] = None
+            free = _p3_free_lanes(n, item.size, planes, turan) if lanes else 0
+            # a recognized lane is not decoded, and a repeated mask would give
+            # a key that keys already holds
+            found = dict.fromkeys(
+                _EXTREMAL if free >> lane & 1 else item.lane_mask(lane) for lane in lanes
+            )
+            for key in found:
+                if key is not _EXTREMAL:  # the mask of an unrecognized lane
+                    key = _attainer_key(n, _rows_from_mask(n, key), t, turan)
+                keys[key] = None
     if n is None:
         raise ValueError("empty graph stream")
     return _report(n, t, side, max_observed, keys, examined, f"stream({source})")

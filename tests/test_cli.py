@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import os
 import random
@@ -27,6 +28,8 @@ from mismax.codec import _BLOCK_CHARS
 from mismax.counting import mis_lane_counts, polynomial_string
 
 from conftest import permute, random_graph
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -146,9 +149,11 @@ def count_line_by_line(text):
 @lru_cache(maxsize=2)
 def count_cases(block_chars):
     """name -> count input; the 9-vertex lines are 8 characters with the
-    newline, so line block_chars // 8 of a stream of them lies at the first
-    block boundary, and the defects sit in the second block. Cached, since
-    a real-size block takes seconds to build; callers only read it."""
+    newline, so the first block_chars characters of a stream of them end
+    with line block_chars // 8 - 1, the reader completes the first block
+    one line later, with line block_chars // 8, and the defects sit in the
+    second block. Cached, since a real-size block takes seconds to build;
+    callers only read it."""
     rng = random.Random(1212)
 
     def lines(n, k):
@@ -307,8 +312,35 @@ def test_verify_block_attainers_fall_back_to_forms(capsys, monkeypatch, block_ch
     runs = [(t, side) for side in ("mis", "clique") for t in (1, 3, 9)]
     default = [verify_blocks(capsys, monkeypatch, text, t, side) for t, side in runs]
     monkeypatch.setattr("mismax.extremal._is_extremal", lambda rows, t, turan: False)
+    monkeypatch.setattr("mismax.extremal._p3_free_lanes", lambda n, size, planes, turan: 0)
     assert [verify_blocks(capsys, monkeypatch, text, t, side) for t, side in runs] == default
     assert [verify_line_by_line(text, t, side) for t, side in runs] == default
+
+
+def test_verify_recognizes_the_benchmark_attainers_without_search(capsys, monkeypatch, tmp_path):
+    # the benchmark's attainers-n10 input: every second line a relabeled
+    # H(10,3), all recognized by the plane test, so no lane is decoded and
+    # no canonical form is searched
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    workload = workloads.AttainersN10()
+    work = tmp_path / "work"
+    work.mkdir()
+    workload.generate(1701, work)
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    for target in (
+        "mismax.canon.canonical_form",
+        "mismax.extremal.canonical_form",
+        "mismax.extremal._rows_from_mask",
+        "mismax.codec.Graph6Block.lane_mask",
+    ):
+        monkeypatch.setattr(target, lambda *args, target=target: calls.append(target))
+    code, out, _ = run(capsys, workload.argv)
+    monkeypatch.undo()
+    assert calls == []
+    assert code == 0 and workload.check(out) is None
 
 
 def test_count_format_cache_is_bounded():

@@ -308,11 +308,11 @@ def test_lane_counts_match_subset_scan_on_a_full_block():
 
 def test_lane_counts_empty_order_and_block():
     assert mis_lane_counts(0, 3, []) == [b"\x01\x01\x01"]
-    assert mis_lane_counts(4, 0, [b""]) == [b""] * 5
+    assert mis_lane_counts(4, 0, [0] * 6) == [b""] * 5
 
 
 def test_lane_counts_refuse_orders_that_could_pass_a_byte():
     # a lane holds at most _LANE_MAX; Moon-Moser allows 3^(n/3) sets
     assert 3 ** 15 <= _LANE_MAX ** 3 < 3 ** 16
     with pytest.raises(ValueError, match="got n=16"):
-        mis_lane_counts(16, 1, [b"?"] * 20)
+        mis_lane_counts(16, 1, [0] * 120)

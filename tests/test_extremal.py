@@ -29,11 +29,11 @@ from mismax import (
     verify_bound_stream,
 )
 from mismax import extremal
-from mismax.canon import _orbit_representatives
-from mismax.codec import graph6_encode, read_graph6_blocks
-from mismax.counting import maximal_clique_counts
+from mismax.canon import CanonicalForm, _orbit_representatives
+from mismax.codec import Graph6Block, graph6_encode, read_graph6_blocks
+from mismax.counting import maximal_clique_counts, mis_lane_counts
 from mismax.extremal import auto_split_vertex
-from mismax.graph import _rows_from_mask, from_triangle_mask
+from mismax.graph import _rows_from_mask, from_triangle_mask, triangle_mask
 
 from conftest import (
     graphs,
@@ -466,6 +466,67 @@ def test_is_extremal_rejects_one_edge_changes():
                         assert canonical_form(Graph(n, tuple(rows))) != want, (n, t, side, u, v)
 
 
+def _every_mask_planes(n):
+    """Every labeled graph on n vertices as one block, lane g the graph of
+    mask g: the edge plane of the pair at mask bit b has bit g set where
+    mask g has bit b."""
+    nbits = n * (n - 1) // 2
+    lanes = range(1 << nbits)
+    return [
+        int("".join("01"[g >> b & 1] for g in reversed(lanes)), 2)
+        for b in reversed(range(nbits))
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_p3_plane_and_count_recognize_exactly_the_extremal_graph(n):
+    # the product lemma: no induced P3 and f(n,t) sets of size t is H(n,t)
+    planes = _every_mask_planes(n)
+    size = 1 << n * (n - 1) // 2
+    rows = [_rows_from_mask(n, mask) for mask in range(size)]
+    for side in ("mis", "clique"):
+        turan = side == "clique"
+        free = extremal._p3_free_lanes(n, size, planes, turan)
+        counts = mis_lane_counts(n, size, planes, complement=not turan)
+        for t in range(1, n + 1):
+            f = bound_f(n, t).f
+            for mask in range(size):
+                got = bool(free >> mask & 1) and counts[t][mask] == f
+                assert got == extremal._is_extremal(rows[mask], t, turan), (n, side, t, mask)
+
+
+def _has_induced_p3(g):
+    return any(
+        (g.adj[i] >> j & 1) + (g.adj[i] >> k & 1) + (g.adj[j] >> k & 1) == 2
+        for i, j, k in combinations(range(g.n), 3)
+    )
+
+
+@pytest.mark.parametrize("n", range(0, 6))
+def test_p3_plane_matches_a_search_of_every_triple(n):
+    planes = _every_mask_planes(n)
+    size = 1 << n * (n - 1) // 2
+    for side in ("mis", "clique"):
+        free = extremal._p3_free_lanes(n, size, planes, side == "clique")
+        for mask in range(size):
+            g = from_triangle_mask(n, mask)
+            tested = complement(g) if side == "clique" else g
+            assert bool(free >> mask & 1) == (not _has_induced_p3(tested)), (n, side, mask)
+
+
+def test_extremal_form_is_the_canonical_form():
+    for n in range(1, 11):
+        for t in range(1, n + 1):
+            for side in ("mis", "clique"):
+                form = extremal._extremal_form(n, t, side == "clique")
+                assert form == canonical_form(_expected(n, t, side)), (n, t, side)
+    # above CANON_MAX_N the graph as build_H/build_turan label it
+    for n, t in ((11, 3), (12, 5)):
+        for side in ("mis", "clique"):
+            form = extremal._extremal_form(n, t, side == "clique")
+            assert form == CanonicalForm(n, triangle_mask(_expected(n, t, side))), (n, t, side)
+
+
 def _attainer_stream():
     """Seeded random graphs alternating with relabeled H(10,3), the attainers."""
     rng = random.Random("attainers")
@@ -475,6 +536,11 @@ def _attainer_stream():
     ]
 
 
+def _blocks(graphs):
+    """The graphs as read_graph6_blocks reads their graph6 lines."""
+    return read_graph6_blocks(io.StringIO("".join(graph6_encode(g) + "\n" for g in graphs)))
+
+
 def _verifier_runs():
     """Calls that each return a list of reports, every report with attainers."""
     runs = [
@@ -482,44 +548,91 @@ def _verifier_runs():
         for side in ("mis", "clique")
         for n in range(1, 7)
     ]
-    return runs + [lambda: [verify_bound_stream(_attainer_stream(), 3)]]
+    return runs + [
+        lambda: [verify_bound_stream(_attainer_stream(), 3)],
+        lambda: [verify_bound_stream(_blocks(_attainer_stream()), 3)],
+        lambda: [verify_bound_stream(_blocks(map(complement, _attainer_stream())), 3, "clique")],
+    ]
+
+
+def _recognize_nothing(monkeypatch):
+    """Switch off both recognizers, so every attainer takes the canonical fallback."""
+    monkeypatch.setattr(extremal, "_is_extremal", lambda rows, t, turan: False)
+    monkeypatch.setattr(extremal, "_p3_free_lanes", lambda n, size, planes, turan: 0)
 
 
 def test_canonical_fallback_gives_the_same_reports(monkeypatch):
     default = [run() for run in _verifier_runs()]
-    monkeypatch.setattr(extremal, "_is_extremal", lambda rows, t, turan: False)
+    _recognize_nothing(monkeypatch)
     assert [run() for run in _verifier_runs()] == default
 
 
-def test_canonical_form_runs_once_per_report(monkeypatch):
+def test_canonical_form_runs_only_on_unrecognized_attainers(monkeypatch):
     calls = []
+    keyed = []
+    attainer_key = extremal._attainer_key
 
     def spy(g):
         calls.append(g.n)
         return canonical_form(g)
 
+    def key_spy(n, rows, t, turan):
+        keyed.append(rows)
+        return attainer_key(n, rows, t, turan)
+
     monkeypatch.setattr(extremal, "canonical_form", spy)
+    monkeypatch.setattr(extremal, "_attainer_key", key_spy)
     for run in _verifier_runs():
         calls.clear()
         reports = run()
-        assert len(calls) == len(reports)
+        assert calls == []
+        assert all(r.unique_attainer for r in reports)
+    # unrecognized, each keyed attainer (one labeled graph of a report's
+    # class, once per block) gets one search, and the expected graph none
+    _recognize_nothing(monkeypatch)
+    for run in _verifier_runs():
+        calls.clear()
+        keyed.clear()
+        reports = run()
+        assert len(calls) == len(keyed) >= len(reports)
         assert all(r.unique_attainer for r in reports)
 
 
-def test_stream_block_tests_a_repeated_attainer_once(monkeypatch):
-    line = graph6_encode(_relabeled(random.Random("once"), build_H(9, 3)))
-    [block] = read_graph6_blocks(io.StringIO(f"{line}\n" * 1000))
-    calls = []
+@pytest.mark.parametrize("side", ["mis", "clique"])
+def test_stream_block_decodes_no_recognized_lane(monkeypatch, side):
+    rng = random.Random("once")
+    graph = _expected(9, 3, side)
+    relabeled = [_relabeled(rng, graph) for _ in range(1000)]
+    [block] = _blocks(relabeled)
+    decoded = []
+    lane_mask = Graph6Block.lane_mask
+
+    def lane_spy(self, g):
+        decoded.append(g)
+        return lane_mask(self, g)
+
+    def rows_spy(n, mask):
+        decoded.append(mask)
+        return _rows_from_mask(n, mask)
+
+    monkeypatch.setattr(Graph6Block, "lane_mask", lane_spy)
+    monkeypatch.setattr(extremal, "_rows_from_mask", rows_spy)
+    report = verify_bound_stream([block], 3, side)
+    assert decoded == []
+    assert report.unique_attainer and report.graphs_examined == 1000
+    # with the plane test off, a repeated mask is decoded and tested once
+    monkeypatch.setattr(extremal, "_p3_free_lanes", lambda n, size, planes, turan: 0)
+    tested = []
     is_extremal = extremal._is_extremal
 
-    def spy(rows, t, turan):
-        calls.append(rows)
+    def is_extremal_spy(rows, t, turan):
+        tested.append(rows)
         return is_extremal(rows, t, turan)
 
-    monkeypatch.setattr(extremal, "_is_extremal", spy)
-    report = verify_bound_stream([block], 3)
-    assert len(calls) == 1
-    assert report.unique_attainer and report.graphs_examined == 1000
+    monkeypatch.setattr(extremal, "_is_extremal", is_extremal_spy)
+    [block] = _blocks(relabeled[:1] * 1000)
+    assert verify_bound_stream([block], 3, side) == report
+    assert decoded == [*range(1000), triangle_mask(relabeled[0])] and len(tested) == 1
 
 
 def test_stream_above_canon_max_n(monkeypatch):
@@ -528,9 +641,23 @@ def test_stream_above_canon_max_n(monkeypatch):
     report = verify_bound_stream(stream, 3, source="h12")
     assert report.unique_attainer and report.coverage == "stream(h12)"
     assert [a.to_graph() for a in report.attainers] == [build_H(12, 3)]
+    # in a block, an unrecognized first attainer lane keeps its own
+    # labeling and its place before the recognized lanes, as line by line
+    p3_free_lanes = extremal._p3_free_lanes
+    monkeypatch.setattr(extremal, "_is_extremal", lambda rows, t, turan: rows != stream[0].adj)
+    monkeypatch.setattr(
+        extremal, "_p3_free_lanes", lambda *args: p3_free_lanes(*args) & ~1
+    )
+    [block] = _blocks(stream)
+    report = verify_bound_stream([block], 3, source="h12")
+    assert report == verify_bound_stream(stream, 3, source="h12")
+    assert [a.to_graph() for a in report.attainers] == [stream[0], build_H(12, 3)]
+    assert not report.unique_attainer and report.coverage == "stream(h12),uncanonical"
     # an unrecognized attainer keeps its own labeling, and coverage says so
-    monkeypatch.setattr(extremal, "_is_extremal", lambda rows, t, turan: False)
+    _recognize_nothing(monkeypatch)
     report = verify_bound_stream(stream + stream[:1], 3, source="h12")
     assert not report.unique_attainer and report.bound_holds
     assert report.coverage == "stream(h12),uncanonical"
     assert [a.to_graph() for a in report.attainers] == stream
+    [block] = _blocks(stream + stream[:1])
+    assert verify_bound_stream([block], 3, source="h12") == report
