@@ -41,13 +41,13 @@ from .graph import (
     _bit_pairs,
     _rows_from_mask,
     Graph,
-    bits,
     complete_graph,
     degree,
     delete_vertex,
     disjoint_union,
     empty_graph,
     from_edges,
+    from_triangle_mask,
     induced_subgraph,
     min_degree,
     triangle_mask,
@@ -214,38 +214,6 @@ class ExtremalReport(namedtuple(
     __slots__ = ()
 
 
-def _is_extremal(rows: Sequence[int], t: int, turan: bool) -> bool:
-    """True if the adjacency rows are H(n,t) up to relabeling, or T(n,t) if
-    turan, in O(n^2) bit operations.
-
-    H(n,t) is t disjoint cliques of q or q+1 vertices, n = q*t + r, and
-    T(n,t) is its complement. The part of v is its closed neighbourhood
-    row | 1 << v in H, and its non-neighbourhood (v included) in T. The rows
-    are the graph iff every member of each part has that same part, there
-    are t parts, and each has q or q+1 vertices; the parts then sum to n, so
-    r of them have q+1.
-    """
-    n = len(rows)
-    full = (1 << n) - 1
-    if turan:
-        part_of = [full & ~row for row in rows]
-    else:
-        part_of = [row | 1 << v for v, row in enumerate(rows)]
-    q = n // t
-    parts = 0
-    seen = 0
-    for v, part in enumerate(part_of):
-        if seen >> v & 1:
-            continue
-        if not q <= part.bit_count() <= q + 1:
-            return False
-        if any(part_of[u] != part for u in bits(part)):
-            return False
-        seen |= part
-        parts += 1
-    return parts == t
-
-
 def _p3_free_lanes(n: int, size: int, planes: Sequence[int], turan: bool) -> int:
     """Bit g set where lane g's graph, given by its edge planes (one per
     pair, in triangle_pairs order), has no induced P3, three vertices with
@@ -256,7 +224,9 @@ def _p3_free_lanes(n: int, size: int, planes: Sequence[int], turan: bool) -> int
     f(n,t) > 0 of size t, it has exactly t cliques, whose sizes sum to n
     and multiply to f(n,t); only the sizes q and q+1 reach that product, so
     the graph is H(n,t). With complements, the same holds for T(n,t) and
-    maximal cliques. An attainer lane with its bit set needs no decode.
+    maximal cliques. It is the one recognizer of the extremal graph: an
+    attainer lane with its bit set needs no decode, and _attainer_key
+    tests a single attainer as a block of one lane.
     """
     everywhere = (1 << size) - 1
     if turan:
@@ -273,21 +243,26 @@ def _p3_free_lanes(n: int, size: int, planes: Sequence[int], turan: bool) -> int
     return everywhere & ~bad
 
 
-# stands for every attainer _is_extremal or _p3_free_lanes recognizes, until
-# _report forms it
+# stands for every attainer _p3_free_lanes recognizes, until _report forms it
 _EXTREMAL = object()
 
 
-def _attainer_key(n: int, rows: tuple[int, ...], t: int, turan: bool) -> Hashable:
-    """The key _report takes for an attainer with these adjacency rows:
-    _EXTREMAL if _is_extremal recognizes it, and its form otherwise, so
-    canonical_form runs only on an attainer _is_extremal rejects. Above
-    CANON_MAX_N the form is keyed by the attainer's own triangle mask,
-    which dedupes labeled copies only."""
-    if _is_extremal(rows, t, turan):
-        return _EXTREMAL
-    g = Graph._make((n, rows))  # rows of a Graph or of a mask need no re-check
-    return CanonicalForm(n, triangle_mask(g)) if n > CANON_MAX_N else canonical_form(g)
+def _attainer_form(n: int, mask: int) -> CanonicalForm:
+    """The key of an attainer that _p3_free_lanes rejects, given by its
+    triangle mask: its canonical form up to CANON_MAX_N, and above it the
+    mask itself, which dedupes labeled copies only."""
+    if n > CANON_MAX_N:
+        return CanonicalForm(n, mask)
+    return canonical_form(from_triangle_mask(n, mask))
+
+
+def _attainer_key(n: int, mask: int, turan: bool) -> Hashable:
+    """The key _report takes for one attainer with this triangle mask, whose
+    count the caller found to be f(n,t): _EXTREMAL if _p3_free_lanes passes
+    it as a block of one lane, and _attainer_form otherwise."""
+    # pair p of triangle_pairs is mask bit nbits-1-p
+    planes = [mask >> b & 1 for b in reversed(range(n * (n - 1) // 2))]
+    return _EXTREMAL if _p3_free_lanes(n, 1, planes, turan) else _attainer_form(n, mask)
 
 
 def _extremal_form(n: int, t: int, turan: bool) -> CanonicalForm:
@@ -329,13 +304,12 @@ def _report(
     """Shared tail of both verifiers: dedupe the attainer keys in first-seen
     order and compare them with the extremal graph of the side.
 
-    A key is _EXTREMAL for an attainer recognized as the side's extremal
-    graph, by _is_extremal or _p3_free_lanes, and the attainer's form (see
-    _attainer_key) otherwise. The sentinel is swapped for _extremal_form,
-    made once per report in closed form, so canonical_form runs only on
-    unrecognized attainers. The coverage gains ",uncanonical" if an
-    unrecognized attainer above CANON_MAX_N is reported by its own
-    labeling.
+    A key is _EXTREMAL for an attainer that _p3_free_lanes recognizes as
+    the side's extremal graph, and the attainer's form (_attainer_form)
+    otherwise. The sentinel is swapped for _extremal_form, made once per
+    report in closed form, so canonical_form runs only on unrecognized
+    attainers. The coverage gains ",uncanonical" if an unrecognized
+    attainer above CANON_MAX_N is reported by its own labeling.
     """
     f = bound_f(n, t).f
     attainers: tuple[CanonicalForm, ...] = ()
@@ -531,7 +505,7 @@ def _exhaustive_reports(
 
     def keys(t: int) -> Iterable[Hashable]:
         for mask in attainer_masks[t]:
-            yield _attainer_key(n, _rows_from_mask(n, mask ^ flip), t, side == "clique")
+            yield _attainer_key(n, mask ^ flip, side == "clique")
 
     return [
         _report(n, t, side, max_counts[t], keys(t), covered, f"exhaustive-labeled({n})")
@@ -600,8 +574,8 @@ def verify_bound_stream(
     A block is counted by one mis_lane_counts call, on the non-edge planes
     for the MIS side and on the edge planes for the clique side. Its
     attainer lanes that _p3_free_lanes sets are the extremal graph; only
-    the others are decoded, each distinct mask once, to rows that
-    _attainer_key tests. A Graph item is counted and keyed on its own.
+    the others are decoded, and each distinct mask is keyed once by
+    _attainer_form. A Graph item is counted and keyed on its own.
     Uniqueness is not certified for streams (coverage is not exhaustive);
     unique_attainer reflects only the graphs seen. Attainers are keyed as
     they arrive, in lane order within a block, the recognized extremal
@@ -632,7 +606,7 @@ def verify_bound_stream(
             c = profile.get(t)
             max_observed = max(max_observed, c)
             if c == f and f:  # f = 0, see _report
-                keys[_attainer_key(n, item.adj, t, turan)] = None
+                keys[_attainer_key(n, triangle_mask(item), turan)] = None
         else:
             examined += item.size
             planes = item.edge_planes()
@@ -646,7 +620,7 @@ def verify_bound_stream(
             )
             for key in found:
                 if key is not _EXTREMAL:  # the mask of an unrecognized lane
-                    key = _attainer_key(n, _rows_from_mask(n, key), t, turan)
+                    key = _attainer_form(n, key)
                 keys[key] = None
     if n is None:
         raise ValueError("empty graph stream")

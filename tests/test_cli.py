@@ -306,12 +306,11 @@ def test_verify_blocks_match_line_by_line(capsys, monkeypatch, block_chars):
 
 @pytest.mark.parametrize("block_chars", [_BLOCK_CHARS, 64])
 def test_verify_block_attainers_fall_back_to_forms(capsys, monkeypatch, block_chars):
-    # an attainer lane _is_extremal rejects is keyed by its canonical form
+    # an attainer the plane test rejects is keyed by its canonical form
     monkeypatch.setattr("mismax.codec._BLOCK_CHARS", block_chars)
     text = attainer_stream()
     runs = [(t, side) for side in ("mis", "clique") for t in (1, 3, 9)]
     default = [verify_blocks(capsys, monkeypatch, text, t, side) for t, side in runs]
-    monkeypatch.setattr("mismax.extremal._is_extremal", lambda rows, t, turan: False)
     monkeypatch.setattr("mismax.extremal._p3_free_lanes", lambda n, size, planes, turan: 0)
     assert [verify_blocks(capsys, monkeypatch, text, t, side) for t, side in runs] == default
     assert [verify_line_by_line(text, t, side) for t, side in runs] == default
@@ -333,7 +332,7 @@ def test_verify_recognizes_the_benchmark_attainers_without_search(capsys, monkey
     for target in (
         "mismax.canon.canonical_form",
         "mismax.extremal.canonical_form",
-        "mismax.extremal._rows_from_mask",
+        "mismax.extremal.from_triangle_mask",
         "mismax.codec.Graph6Block.lane_mask",
     ):
         monkeypatch.setattr(target, lambda *args, target=target: calls.append(target))
@@ -660,6 +659,28 @@ def test_verify_stream_above_canon_limit(capsys, monkeypatch, extremal_args, ver
     assert "bound_holds=true unique_attainer=true" in out
     assert f" attainers={graph.strip()} " in out
     assert out.endswith(" coverage=stream(-)\n")
+
+
+@pytest.mark.parametrize("n", [13, 20, 30])
+def test_verify_recognizes_graphs_above_the_block_orders(capsys, monkeypatch, n):
+    # lines above order 12 are Graph items, each keyed on its own: relabeled
+    # H(n,t) and T(n,t) are recognized, with no canonical search, so the
+    # report is unique and carries no ",uncanonical"
+    rng = random.Random(n)
+    for target in ("mismax.canon.canonical_form", "mismax.extremal.canonical_form"):
+        monkeypatch.setattr(target, lambda g: pytest.fail("canonical_form called"))
+    for t in (1, 3, n // 2):
+        for side, build in (("mis", build_H), ("clique", build_turan)):
+            graph = build(n, t)
+            text = "".join(
+                graph6_encode(permute(graph, rng.sample(range(n), n))) + "\n" for _ in range(3)
+            )
+            argv = ["verify", "--input", "-", "--t", str(t), "--side", side]
+            code, out, err = run(capsys, argv, stdin=text, monkeypatch=monkeypatch)
+            assert code == 0, err
+            assert " bound_holds=true unique_attainer=true " in out, (n, t, side)
+            assert f" attainers={graph6_encode(graph)} " in out, (n, t, side)
+            assert out.endswith(" graphs_examined=3 coverage=stream(-)\n"), (n, t, side)
 
 
 def test_cli_import_skips_multiprocessing():

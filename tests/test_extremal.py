@@ -10,7 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mismax import (
-    Graph,
     bound_f,
     build_H,
     build_turan,
@@ -33,7 +32,7 @@ from mismax.canon import CanonicalForm, _orbit_representatives
 from mismax.codec import Graph6Block, graph6_encode, read_graph6_blocks
 from mismax.counting import maximal_clique_counts, mis_lane_counts
 from mismax.extremal import auto_split_vertex
-from mismax.graph import _rows_from_mask, from_triangle_mask, triangle_mask
+from mismax.graph import _rows_from_mask, from_triangle_mask, triangle_mask, triangle_pairs
 
 from conftest import (
     graphs,
@@ -415,84 +414,89 @@ def _relabeled(rng, g):
     return permute(g, perm)
 
 
-def test_is_extremal_agrees_with_canonical_form_up_to_5():
-    for n in range(1, 6):
-        expected = {
-            (t, side): canonical_form(_expected(n, t, side))
-            for t in range(1, n + 1)
-            for side in ("mis", "clique")
-        }
-        for mask in range(1 << (n * (n - 1) // 2)):
-            g = from_triangle_mask(n, mask)
-            form = canonical_form(g)
-            for (t, side), want in expected.items():
-                got = extremal._is_extremal(g.adj, t, turan=side == "clique")
-                assert got == (form == want), (n, mask, t, side)
-
-
-def test_is_extremal_recognizes_relabelings():
-    rng = random.Random("recognize")
-    for n in range(6, 13):
-        for t in range(1, n + 1):
-            for side in ("mis", "clique"):
-                for _ in range(3):
-                    g = _relabeled(rng, _expected(n, t, side))
-                    assert extremal._is_extremal(g.adj, t, turan=side == "clique"), (n, t, side)
-
-
-def test_is_extremal_rejects_one_edge_changes():
-    # toggling a pair whose parts have the same sizes, one part or two, gives
-    # isomorphic graphs; canonical_form confirms one rejection of each kind
-    rng = random.Random("reject")
-    for n in range(6, 11):
-        full = (1 << n) - 1
-        for t in range(1, n + 1):
-            for side in ("mis", "clique"):
-                turan = side == "clique"
-                expected = _expected(n, t, side)
-                want = canonical_form(expected)
-                g = _relabeled(rng, expected)
-                part = [full & ~row if turan else row | 1 << v for v, row in enumerate(g.adj)]
-                confirmed = set()
-                for u, v in combinations(range(n), 2):
-                    rows = list(g.adj)
-                    rows[u] ^= 1 << v
-                    rows[v] ^= 1 << u
-                    assert not extremal._is_extremal(rows, t, turan), (n, t, side, u, v)
-                    sizes = sorted((part[u].bit_count(), part[v].bit_count()))
-                    kind = (*sizes, part[u] == part[v])
-                    if kind not in confirmed:
-                        confirmed.add(kind)
-                        assert canonical_form(Graph(n, tuple(rows))) != want, (n, t, side, u, v)
-
-
-def _every_mask_planes(n):
-    """Every labeled graph on n vertices as one block, lane g the graph of
-    mask g: the edge plane of the pair at mask bit b has bit g set where
-    mask g has bit b."""
+def _mask_planes(n, masks):
+    """The graphs of the triangle masks as one block, lane g the graph of
+    masks[g]: the edge plane of the pair at mask bit b has bit g set where
+    masks[g] has bit b."""
     nbits = n * (n - 1) // 2
-    lanes = range(1 << nbits)
     return [
-        int("".join("01"[g >> b & 1] for g in reversed(lanes)), 2)
+        int("".join("01"[mask >> b & 1] for mask in reversed(masks)), 2)
         for b in reversed(range(nbits))
     ]
 
 
+def _every_mask_planes(n):
+    """Every labeled graph on n vertices as one block, lane g the graph of
+    mask g."""
+    return _mask_planes(n, range(1 << n * (n - 1) // 2))
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_p3_plane_and_count_recognize_exactly_the_extremal_graph(n):
-    # the product lemma: no induced P3 and f(n,t) sets of size t is H(n,t)
+    # the product lemma: no induced P3 and f(n,t) sets of size t is H(n,t);
+    # canonical_form is the reference on the graphs whose count is f, and
+    # _attainer_key, the same test on one lane, must agree with the block
     planes = _every_mask_planes(n)
     size = 1 << n * (n - 1) // 2
-    rows = [_rows_from_mask(n, mask) for mask in range(size)]
     for side in ("mis", "clique"):
         turan = side == "clique"
         free = extremal._p3_free_lanes(n, size, planes, turan)
         counts = mis_lane_counts(n, size, planes, complement=not turan)
         for t in range(1, n + 1):
             f = bound_f(n, t).f
+            expected = extremal._extremal_form(n, t, turan)
             for mask in range(size):
-                got = bool(free >> mask & 1) and counts[t][mask] == f
-                assert got == extremal._is_extremal(rows[mask], t, turan), (n, side, t, mask)
+                if counts[t][mask] != f:
+                    continue
+                want = canonical_form(from_triangle_mask(n, mask)) == expected
+                assert bool(free >> mask & 1) == want, (n, side, t, mask)
+                key = extremal._attainer_key(n, mask, turan)
+                assert (key is extremal._EXTREMAL) == want, (n, side, t, mask)
+
+
+def test_attainer_key_recognizes_relabelings(monkeypatch):
+    rng = random.Random("recognize")
+    monkeypatch.setattr(extremal, "_attainer_form", None)  # never reached
+    for n in range(6, 13):
+        for t in range(1, n + 1):
+            for side in ("mis", "clique"):
+                for _ in range(3):
+                    mask = triangle_mask(_relabeled(rng, _expected(n, t, side)))
+                    key = extremal._attainer_key(n, mask, side == "clique")
+                    assert key is extremal._EXTREMAL, (n, t, side)
+
+
+def test_one_edge_changes_of_the_extremal_graph_are_not_recognized():
+    # every one-edge change of H or T has a count other than f or an induced
+    # P3; toggling a pair whose parts have the same sizes, one part or two,
+    # gives isomorphic graphs, and canonical_form confirms one rejection of
+    # each kind
+    rng = random.Random("reject")
+    for n in range(6, 11):
+        full = (1 << n) - 1
+        nbits = n * (n - 1) // 2
+        for t in range(1, n + 1):
+            f = bound_f(n, t).f
+            for side in ("mis", "clique"):
+                turan = side == "clique"
+                expected = _expected(n, t, side)
+                want = canonical_form(expected)
+                g = _relabeled(rng, expected)
+                part = [full & ~row if turan else row | 1 << v for v, row in enumerate(g.adj)]
+                # lane p toggles pair p of triangle_pairs, at mask bit nbits-1-p
+                toggled = [triangle_mask(g) ^ 1 << nbits - 1 - p for p in range(nbits)]
+                planes = _mask_planes(n, toggled)
+                free = extremal._p3_free_lanes(n, nbits, planes, turan)
+                counts = mis_lane_counts(n, nbits, planes, complement=not turan)[t]
+                confirmed = set()
+                for p, (u, v) in enumerate(triangle_pairs(n)):
+                    assert counts[p] != f or not free >> p & 1, (n, t, side, u, v)
+                    sizes = sorted((part[u].bit_count(), part[v].bit_count()))
+                    kind = (*sizes, part[u] == part[v])
+                    if kind not in confirmed:
+                        confirmed.add(kind)
+                        form = canonical_form(from_triangle_mask(n, toggled[p]))
+                        assert form != want, (n, t, side, u, v)
 
 
 def _has_induced_p3(g):
@@ -556,8 +560,7 @@ def _verifier_runs():
 
 
 def _recognize_nothing(monkeypatch):
-    """Switch off both recognizers, so every attainer takes the canonical fallback."""
-    monkeypatch.setattr(extremal, "_is_extremal", lambda rows, t, turan: False)
+    """Switch off the plane test, so every attainer takes the canonical fallback."""
     monkeypatch.setattr(extremal, "_p3_free_lanes", lambda n, size, planes, turan: 0)
 
 
@@ -569,32 +572,32 @@ def test_canonical_fallback_gives_the_same_reports(monkeypatch):
 
 def test_canonical_form_runs_only_on_unrecognized_attainers(monkeypatch):
     calls = []
-    keyed = []
-    attainer_key = extremal._attainer_key
+    formed = []
+    attainer_form = extremal._attainer_form
 
     def spy(g):
         calls.append(g.n)
         return canonical_form(g)
 
-    def key_spy(n, rows, t, turan):
-        keyed.append(rows)
-        return attainer_key(n, rows, t, turan)
+    def form_spy(n, mask):
+        formed.append(mask)
+        return attainer_form(n, mask)
 
     monkeypatch.setattr(extremal, "canonical_form", spy)
-    monkeypatch.setattr(extremal, "_attainer_key", key_spy)
+    monkeypatch.setattr(extremal, "_attainer_form", form_spy)
     for run in _verifier_runs():
         calls.clear()
         reports = run()
-        assert calls == []
+        assert calls == [] and formed == []
         assert all(r.unique_attainer for r in reports)
     # unrecognized, each keyed attainer (one labeled graph of a report's
     # class, once per block) gets one search, and the expected graph none
     _recognize_nothing(monkeypatch)
     for run in _verifier_runs():
         calls.clear()
-        keyed.clear()
+        formed.clear()
         reports = run()
-        assert len(calls) == len(keyed) >= len(reports)
+        assert len(calls) == len(formed) >= len(reports)
         assert all(r.unique_attainer for r in reports)
 
 
@@ -613,26 +616,25 @@ def test_stream_block_decodes_no_recognized_lane(monkeypatch, side):
 
     def rows_spy(n, mask):
         decoded.append(mask)
-        return _rows_from_mask(n, mask)
+        return from_triangle_mask(n, mask)
 
     monkeypatch.setattr(Graph6Block, "lane_mask", lane_spy)
-    monkeypatch.setattr(extremal, "_rows_from_mask", rows_spy)
+    monkeypatch.setattr(extremal, "from_triangle_mask", rows_spy)
     report = verify_bound_stream([block], 3, side)
     assert decoded == []
     assert report.unique_attainer and report.graphs_examined == 1000
-    # with the plane test off, a repeated mask is decoded and tested once
-    monkeypatch.setattr(extremal, "_p3_free_lanes", lambda n, size, planes, turan: 0)
+    # with the plane test off, a repeated mask is decoded and formed once,
+    # and a rejected lane is not tested again on its own
     tested = []
-    is_extremal = extremal._is_extremal
 
-    def is_extremal_spy(rows, t, turan):
-        tested.append(rows)
-        return is_extremal(rows, t, turan)
+    def recognize_nothing(n, size, planes, turan):
+        tested.append(size)
+        return 0
 
-    monkeypatch.setattr(extremal, "_is_extremal", is_extremal_spy)
+    monkeypatch.setattr(extremal, "_p3_free_lanes", recognize_nothing)
     [block] = _blocks(relabeled[:1] * 1000)
     assert verify_bound_stream([block], 3, side) == report
-    assert decoded == [*range(1000), triangle_mask(relabeled[0])] and len(tested) == 1
+    assert decoded == [*range(1000), triangle_mask(relabeled[0])] and tested == [1000]
 
 
 def test_stream_above_canon_max_n(monkeypatch):
@@ -644,10 +646,16 @@ def test_stream_above_canon_max_n(monkeypatch):
     # in a block, an unrecognized first attainer lane keeps its own
     # labeling and its place before the recognized lanes, as line by line
     p3_free_lanes = extremal._p3_free_lanes
-    monkeypatch.setattr(extremal, "_is_extremal", lambda rows, t, turan: rows != stream[0].adj)
-    monkeypatch.setattr(
-        extremal, "_p3_free_lanes", lambda *args: p3_free_lanes(*args) & ~1
-    )
+    first = _mask_planes(12, [triangle_mask(stream[0])])
+
+    def reject_first(n, size, planes, turan):
+        # clear the lanes that hold stream[0], in a block or on their own
+        same = (1 << size) - 1
+        for plane, bit in zip(planes, first):
+            same &= plane if bit else ~plane
+        return p3_free_lanes(n, size, planes, turan) & ~same
+
+    monkeypatch.setattr(extremal, "_p3_free_lanes", reject_first)
     [block] = _blocks(stream)
     report = verify_bound_stream([block], 3, source="h12")
     assert report == verify_bound_stream(stream, 3, source="h12")

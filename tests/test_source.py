@@ -32,6 +32,21 @@ def test_every_public_name_has_a_caller_outside_tests():
     assert sorted(set(mismax.__all__) - referenced) == []
 
 
+def test_every_top_level_definition_has_a_caller_outside_tests():
+    # a function or class that only tests call is not part of the program;
+    # module dunders such as __getattr__ are called by the interpreter
+    modules = sorted(PACKAGE.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+    referenced = set().union(*(_referenced_names(ast.parse(p.read_text())) for p in modules))
+    defined = [
+        f"{path.name}:{stmt.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for stmt in ast.parse(path.read_text()).body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and not (stmt.name.startswith("__") and stmt.name.endswith("__"))
+    ]
+    assert [d for d in defined if d.split(":")[1] not in referenced] == []
+
+
 def test_no_assert_statements():
     # python -O strips assert statements, so the library raises explicit errors
     found = [
