@@ -7,7 +7,8 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from itertools import chain
 
-from .graph import _TABLE_MAX_N, Graph, from_edges, from_triangle_mask, triangle_mask
+from .counting import _LANE_MAX_N
+from .graph import Graph, from_edges, from_triangle_mask, triangle_mask
 
 GRAPH6_HEADER = ">>graph6<<"
 GRAPH6_MAX_N = 62
@@ -177,17 +178,17 @@ class Graph6Block(namedtuple("Graph6Block", "n size columns")):
 
 def _graph6_block(text: str) -> Graph6Block | None:
     """The lines of text as one block, or None unless every line is a bare
-    short-form graph6 string of one order n <= _TABLE_MAX_N that
-    graph6_decode accepts, ended by a newline. A header before the first
-    line is skipped, as graph6_decode skips it. Checked on the whole text,
-    with no object per line."""
+    short-form graph6 string of one order n <= _LANE_MAX_N, which the lane
+    kernel counts, that graph6_decode accepts, ended by a newline. A header
+    before the first line is skipped, as graph6_decode skips it. Checked on
+    the whole text, with no object per line."""
     if text.startswith(GRAPH6_HEADER):
         text = text[len(GRAPH6_HEADER):]
     if not (text.endswith("\n") and text.isascii()):
         return None
     raw = text.encode("ascii")
     n = raw[0] - 63
-    if not 0 <= n <= _TABLE_MAX_N:
+    if not 0 <= n <= _LANE_MAX_N:
         return None
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6

@@ -4,10 +4,10 @@ Maximal independent sets are counted as the maximal cliques of the
 complement graph. Up to _TABLE_MAX_N vertices the counter scans all 2^n
 vertex sets at once, one bit per set in a big-int bitset; above it, and
 where the proof trace visits the cliques one by one, it runs pivoted
-Bron-Kerbosch. A block of graphs of one order, given as one edge plane per
-pair, is counted by one depth-first search over vertex sets, one graph per
-bit lane of each big int, into bit-sliced counters. A per-subset oracle provides an independent
-cross-check for small orders.
+Bron-Kerbosch. A block of graphs of one order up to _LANE_MAX_N, given as
+one edge plane per pair, is counted by one depth-first search over vertex
+sets, one graph per bit lane of each big int, into bit-sliced byte counters.
+A per-subset oracle provides an independent cross-check for small orders.
 """
 
 from __future__ import annotations
@@ -18,12 +18,17 @@ from functools import lru_cache, reduce
 from itertools import repeat
 from operator import and_, or_
 
-from .graph import _TABLE_MAX_N, Graph, _complement_rows, triangle_pairs
+from .graph import Graph, _complement_rows, triangle_pairs
 
 ORACLE_MAX_N = 24
 
-# Largest count a byte lane of mis_lane_counts' result holds.
-_LANE_MAX = 255
+# Largest order of the lazily built subset tables, about 1.3 MB at n = 12;
+# they grow as 4^n bits, so larger orders run Bron-Kerbosch.
+_TABLE_MAX_N = 12
+# Largest order of mis_lane_counts, and so of a graph6 block: a lane's count
+# is a byte, and a graph on n vertices has at most 3^(n/3) maximal independent
+# sets (Moon-Moser), 243 at n = 15 but 324 at n = 16.
+_LANE_MAX_N = 15
 
 # "0"/"1" to the byte 0/1, for the lanes of a counter's plane
 _DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
@@ -149,13 +154,11 @@ def mis_lane_counts(
 
     The counts are bit-sliced: size s keeps a list of planes, plane k holding
     bit k of every lane's count, and a maximal plane is added with a ripple
-    carry. At the end plane k becomes a byte per lane shifted by k. The
-    bytes cannot carry into each other: a graph on n vertices has at most
-    3^(n/3) maximal independent sets (Moon-Moser), and an order where that
-    could pass _LANE_MAX raises.
+    carry. At the end plane k becomes a byte per lane shifted by k, which
+    holds every count up to order _LANE_MAX_N; a larger order raises.
     """
-    if 3 ** n > _LANE_MAX ** 3:
-        raise ValueError(f"lane counts need 3^(n/3) <= {_LANE_MAX}, got n={n}")
+    if n > _LANE_MAX_N:
+        raise ValueError(f"lane counts need n <= {_LANE_MAX_N}, got n={n}")
     if not lanes:
         return [b""] * (n + 1)
     everywhere = (1 << lanes) - 1

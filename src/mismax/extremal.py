@@ -370,9 +370,9 @@ def _extension_counts(n: int, hh: int) -> list[bytes]:
     Entry s is the 2^(n-2) segments base[s] + delta[aa][s] of 2^(n-1) bytes,
     one byte per nb, in ascending aa. The sums are exact big ints, so a
     partial sum may be negative or borrow across bytes; every final byte is
-    one graph's count, at most the 27 maximal cliques a graph on
-    EXHAUSTIVE_MAX_N = 9 vertices can have (Moon-Moser), so each segment
-    fits its bytes; a larger EXHAUSTIVE_MAX_N must recheck that bound.
+    one graph's count, at most 3^(n/3) (Moon-Moser), which fits a byte up to
+    the lane kernel's order limit counting._LANE_MAX_N; a test keeps
+    EXHAUSTIVE_MAX_N at or below it, so each segment fits its bytes.
     """
     if n < 2:
         return [b"\x00", b"\x01"]  # K1 has no pair to split off
@@ -571,11 +571,12 @@ def verify_bound_stream(
     """Verify the bound over an externally supplied stream of same-order
     graphs: the items of read_graph6_blocks, or plain Graphs.
 
-    A block is counted by one mis_lane_counts call, on the non-edge planes
-    for the MIS side and on the edge planes for the clique side. Its
-    attainer lanes that _p3_free_lanes sets are the extremal graph; only
-    the others are decoded, and each distinct mask is keyed once by
-    _attainer_form. A Graph item is counted and keyed on its own.
+    A block, of an order up to counting._LANE_MAX_N, gets one mis_lane_counts
+    call, on the non-edge planes for the MIS side and on the edge planes for
+    the clique side. Its attainer lanes that _p3_free_lanes sets are the
+    extremal graph; only the others are decoded, each distinct mask keyed
+    once by _attainer_form. A Graph item, of a refused cut or a larger order,
+    is counted and keyed on its own.
     Uniqueness is not certified for streams (coverage is not exhaustive);
     unique_attainer reflects only the graphs seen. Attainers are keyed as
     they arrive, in lane order within a block, the recognized extremal

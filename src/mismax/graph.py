@@ -18,11 +18,6 @@ from operator import xor
 
 MAX_VERTICES = 64
 
-# Largest order served by the lazily built subset tables of the counting
-# kernel, about 1.3 MB at n = 12; they grow as 4^n bits, so larger orders run
-# Bron-Kerbosch. read_graph6_blocks takes blocks of this order at most.
-_TABLE_MAX_N = 12
-
 
 def bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of a vertex-set mask in ascending order."""

@@ -175,7 +175,11 @@ def count_cases(block_chars):
         "n0": text(["?"] * block_chars),
         "n1": text(["@"] * (block_chars // 2 + 3)),
         "n12": text(lines(12, block_chars // 13 + 2)),
+        # orders 13 to 15 are blocks, the lane kernel's last orders, and
+        # order 16 goes line by line; 7 lines of order 15 are two cuts of 64
         "n13": text(lines(13, 4)),
+        "n15": text(lines(15, 7)),
+        "n16": text(lines(16, 4)),
         "mixed orders in a block": text(n9[:k] + lines(8, 3) + n9[k:]),
         # orders 0 and 1, and 2, 3 and 4, have lines of one length
         "orders 0 and 1": text(["?", "@"] * (block_chars // 2)),
@@ -661,11 +665,11 @@ def test_verify_stream_above_canon_limit(capsys, monkeypatch, extremal_args, ver
     assert out.endswith(" coverage=stream(-)\n")
 
 
-@pytest.mark.parametrize("n", [13, 20, 30])
-def test_verify_recognizes_graphs_above_the_block_orders(capsys, monkeypatch, n):
-    # lines above order 12 are Graph items, each keyed on its own: relabeled
-    # H(n,t) and T(n,t) are recognized, with no canonical search, so the
-    # report is unique and carries no ",uncanonical"
+def verify_relabeled_extremal_graphs(capsys, monkeypatch, n):
+    """verify --input on three relabeled copies of H(n,t) on the MIS side
+    and of T(n,t) on the clique side, for t = 1, 3 and n // 2: each is
+    recognized, with no canonical search, so the report is unique and
+    carries no ",uncanonical"."""
     rng = random.Random(n)
     for target in ("mismax.canon.canonical_form", "mismax.extremal.canonical_form"):
         monkeypatch.setattr(target, lambda g: pytest.fail("canonical_form called"))
@@ -681,6 +685,45 @@ def test_verify_recognizes_graphs_above_the_block_orders(capsys, monkeypatch, n)
             assert " bound_holds=true unique_attainer=true " in out, (n, t, side)
             assert f" attainers={graph6_encode(graph)} " in out, (n, t, side)
             assert out.endswith(" graphs_examined=3 coverage=stream(-)\n"), (n, t, side)
+
+
+@pytest.mark.parametrize("n", [13, 15])
+def test_verify_counts_blocks_above_the_subset_tables_on_lanes(capsys, monkeypatch, n):
+    # lines of order 13 to 15 are blocks: each gets one mis_lane_counts call
+    # and no per-graph count
+    calls = []
+
+    def lane_counts(*args, **kwargs):
+        calls.append(args[:2])
+        return mis_lane_counts(*args, **kwargs)
+
+    monkeypatch.setattr("mismax.extremal.mis_lane_counts", lane_counts)
+    for name in ("mis_size_profile", "maximal_clique_size_profile"):
+        monkeypatch.setattr(f"mismax.extremal.{name}", lambda g: pytest.fail("counted per graph"))
+    verify_relabeled_extremal_graphs(capsys, monkeypatch, n)
+    assert calls == [(n, 3)] * 6
+
+
+@pytest.mark.parametrize("n", [16, 20, 30])
+def test_verify_recognizes_graphs_above_the_block_orders(capsys, monkeypatch, n):
+    # lines above order 15 are Graph items, each keyed on its own
+    verify_relabeled_extremal_graphs(capsys, monkeypatch, n)
+
+
+def test_count_h15_on_lanes_and_h16_line_by_line(capsys, monkeypatch):
+    # H(15,5) = 5 K3 has 243 maximal independent sets, the most any graph of
+    # order 15 has (Moon-Moser), and a byte lane holds it; H(16,5) = 4 K3 + K4
+    # has 324, which a lane would wrap, so order 16 must stay off the lanes
+    calls = []
+    monkeypatch.setattr(
+        "mismax.cli.mis_lane_counts", lambda *args: calls.append(args[0]) or mis_lane_counts(*args)
+    )
+    for n, count in ((15, 243), (16, 324)):
+        stdin = graph6_encode(build_H(n, 5)) + "\n"
+        code, out, err = run(capsys, ["count"], stdin=stdin, monkeypatch=monkeypatch)
+        line = f"graph=0 n={n} counts=0,0,0,0,0,{count} total={count} poly={count}x^5\n"
+        assert (code, out, err) == (0, line, "")
+    assert calls == [15]
 
 
 def test_cli_import_skips_multiprocessing():

@@ -222,7 +222,9 @@ def text_of(lines):
     return "".join(line + "\n" for line in lines)
 
 
-@pytest.mark.parametrize("n", [0, 1, 4, 9, 10, 12])
+# orders 13 and 15 are block orders above the subset tables: 13 pads no
+# bit, and 15 pads 3 bits of its 18 columns
+@pytest.mark.parametrize("n", [0, 1, 4, 9, 10, 12, 13, 15])
 def test_graph6_block_cuts_valid_lines_into_columns(n):
     rng = random.Random(n)
     lines = [graph6_of_mask(n, rng.getrandbits(n * (n - 1) // 2)) for _ in range(20)]
@@ -230,9 +232,9 @@ def test_graph6_block_cuts_valid_lines_into_columns(n):
     assert _graph6_block(text_of(lines)) == Graph6Block(n, 20, columns)
 
 
-# orders 2, 3, 5, 6, 7, 8, 10 and 11 pad their last character; 70 lanes
+# orders 2, 3, 5 to 8, 10, 11, 14 and 15 pad their last character; 70 lanes
 # make planes longer than a machine word
-@pytest.mark.parametrize("n", range(13))
+@pytest.mark.parametrize("n", range(16))
 def test_edge_planes_hold_the_pair_bits_of_each_line(n):
     rng = random.Random(f"planes:{n}")
     nbits = n * (n - 1) // 2
@@ -260,7 +262,7 @@ def test_graph6_block_refuses_what_decode_refuses(n):
         " Bw\n",
         "A_\nBw\n",  # orders 2 and 3 have lines of one length
         "@\n?\n",
-        graph6_of_mask(13, 0) + "\n",  # above the lane kernel's orders
+        graph6_of_mask(16, 0) + "\n",  # above _LANE_MAX_N, the lane kernel's orders
         "",
         ">>graph6<<",  # a header alone at the end of the stream
     ],

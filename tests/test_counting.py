@@ -18,7 +18,8 @@ from mismax import (
 )
 from mismax.codec import _BLOCK_CHARS, Graph6Block, read_graph6_blocks
 from mismax.counting import (
-    _LANE_MAX,
+    _LANE_MAX_N,
+    _TABLE_MAX_N,
     _expand,
     _subset_counts,
     maximal_clique_counts,
@@ -34,6 +35,7 @@ from conftest import (
     graphs,
     is_independent,
     is_maximal_independent,
+    moon_moser_total,
     path_graph,
     random_graph,
 )
@@ -274,6 +276,18 @@ def test_lane_counts_match_subset_scan_seeded_blocks(n, p):
         assert lane_profiles(graphs, complement) == subset_profiles(graphs, complement)
 
 
+# the lane kernel's orders above the subset tables, against Bron-Kerbosch
+@pytest.mark.parametrize("n", range(_TABLE_MAX_N + 1, _LANE_MAX_N + 1))
+def test_lane_counts_match_bron_kerbosch_above_the_subset_tables(n):
+    rng = random.Random(1500 + n)
+    graphs = [random_graph(rng, n, (0.1, 0.5, 0.9)[i % 3]) for i in range(12)]
+    for complement in (True, False):
+        rows = [_complement_rows(g) if complement else g.adj for g in graphs]
+        assert lane_profiles(graphs, complement) == [
+            tuple(maximal_clique_counts(adj, n)) for adj in rows
+        ]
+
+
 def test_lane_counts_reach_moon_moser_without_carry():
     # H(12,4) = 4 K3 has 81 maximal independent sets, the most on 12
     # vertices; lanes of 81 next to lanes of 1 show any carry between bytes
@@ -312,7 +326,10 @@ def test_lane_counts_empty_order_and_block():
 
 
 def test_lane_counts_refuse_orders_that_could_pass_a_byte():
-    # a lane holds at most _LANE_MAX; Moon-Moser allows 3^(n/3) sets
-    assert 3 ** 15 <= _LANE_MAX ** 3 < 3 ** 16
-    with pytest.raises(ValueError, match="got n=16"):
-        mis_lane_counts(16, 1, [0] * 120)
+    # a lane holds a byte: Moon-Moser's 3^(n/3) sets fit it up to
+    # _LANE_MAX_N, and one order more has a graph with 324
+    n = _LANE_MAX_N + 1
+    assert 3 ** _LANE_MAX_N <= 255 ** 3
+    assert moon_moser_total(n) > 255
+    with pytest.raises(ValueError, match=f"got n={n}$"):
+        mis_lane_counts(n, 1, [0] * (n * (n - 1) // 2))

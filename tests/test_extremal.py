@@ -30,7 +30,7 @@ from mismax import (
 from mismax import extremal
 from mismax.canon import CanonicalForm, _orbit_representatives
 from mismax.codec import Graph6Block, graph6_encode, read_graph6_blocks
-from mismax.counting import maximal_clique_counts, mis_lane_counts
+from mismax.counting import _LANE_MAX_N, maximal_clique_counts, mis_lane_counts
 from mismax.extremal import auto_split_vertex
 from mismax.graph import _rows_from_mask, from_triangle_mask, triangle_mask, triangle_pairs
 
@@ -371,6 +371,12 @@ def test_extension_counts_match_bk_sampled_blocks(n, samples):
     hhs = [0, (1 << nbits) - 1] + [rng.getrandbits(nbits) for _ in range(samples)]
     for hh in hhs:
         _check_block(n, hh)
+
+
+def test_exhaustive_orders_fit_the_lane_bytes():
+    # _extension_counts keeps one graph's count per byte, as mis_lane_counts
+    # does, which holds up to _LANE_MAX_N (Moon-Moser)
+    assert extremal.EXHAUSTIVE_MAX_N <= _LANE_MAX_N
 
 
 def test_verify_stream():
