@@ -13,6 +13,7 @@ import time
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from functools import lru_cache
+from itertools import islice, repeat
 
 # count runs on these alone; the other commands import extremal, and with it
 # canon, when they run
@@ -62,17 +63,17 @@ _WRITE_LINES = 2048
 
 
 @lru_cache(maxsize=4096)
-def _count_fields(counts: Sequence[int], csv: bool) -> str:
-    """A count line after its index, from n to the newline, for the counts
-    of sizes 0..n. Streams repeat few distinct profiles, so each is
-    formatted once; the cap bounds the memory."""
-    profile = SizeProfile(len(counts) - 1, tuple(counts))
+def _count_line(counts: tuple[int, ...], csv: bool) -> str:
+    """The count line for the counts of sizes 0..n, with %d where its index
+    goes. Streams repeat few distinct profiles, so each is formatted once;
+    the cap bounds the memory."""
+    profile = SizeProfile(len(counts) - 1, counts)
     coeffs = profile.coefficients()
     counts_str = ",".join(str(c) for c in coeffs)
     poly = polynomial_string(coeffs)
     if csv:
-        return f'{profile.n},"{counts_str}",{profile.total()},{poly}\n'
-    return f"n={profile.n} counts={counts_str} total={profile.total()} poly={poly}\n"
+        return f'%d,{profile.n},"{counts_str}",{profile.total()},{poly}\n'
+    return f"graph=%d n={profile.n} counts={counts_str} total={profile.total()} poly={poly}\n"
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -80,7 +81,6 @@ def cmd_count(args: argparse.Namespace) -> int:
     csv = args.csv
     if csv:
         out.write("index,n,counts,total,poly\n")
-    head, sep = ("", ",") if csv else ("graph=", " ")
     index = 0
     with _opened(args.input) as fh:
         if args.format == "graph6":
@@ -89,24 +89,16 @@ def cmd_count(args: argparse.Namespace) -> int:
             items = [read_edge_list(fh.read())]
         for item in items:
             if isinstance(item, Graph):
-                fields = _count_fields(mis_size_profile(item).counts, csv)
-                out.write(f"{head}{index}{sep}{fields}")
+                out.write(_count_line(mis_size_profile(item).counts, csv) % index)
                 index += 1
                 continue
-            # a block: its size columns interleaved, so that the counts of
-            # graph g are the slice rows[g*k:(g+1)*k], as bytes, which the
-            # format cache can hash
-            k = item.n + 1
-            rows = bytearray(k * item.size)
-            for s, column in enumerate(mis_lane_counts(item.n, item.size, item.edge_planes())):
-                rows[s::k] = column
-            rows = bytes(rows)
-            for first in range(0, item.size, _WRITE_LINES):
-                graphs = range(first, min(first + _WRITE_LINES, item.size))
-                out.write("".join([
-                    f"{head}{index + g}{sep}{_count_fields(rows[g * k:g * k + k], csv)}"
-                    for g in graphs
-                ]))
+            # byte g of each size column is graph g's count, so zip hands
+            # over one graph's counts at a time
+            columns = mis_lane_counts(item.n, item.size, item.edge_planes())
+            lines = map(_count_line, zip(*columns), repeat(csv))
+            for first in range(index, index + item.size, _WRITE_LINES):
+                last = min(first + _WRITE_LINES, index + item.size)
+                out.write("".join(islice(lines, last - first)) % tuple(range(first, last)))
             index += item.size
     return 0
 

@@ -187,7 +187,7 @@ def mis_lane_counts(
     visit(0, everywhere, [everywhere] * n, 0)
     return [
         sum(
-            int.from_bytes(format(plane, "b")[::-1].encode().translate(_DIGIT_BYTES), "little") << k
+            int.from_bytes(format(plane, "b").encode().translate(_DIGIT_BYTES), "big") << k
             for k, plane in enumerate(planes)
         ).to_bytes(lanes, "little")
         for planes in counters

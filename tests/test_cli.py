@@ -23,7 +23,7 @@ from mismax import (
     read_graph6_stream,
     verify_bound_stream,
 )
-from mismax.cli import _any_int_digits, _count_fields, _print_report, main
+from mismax.cli import _any_int_digits, _count_line, _print_report, main
 from mismax.codec import _BLOCK_CHARS
 from mismax.counting import mis_lane_counts, polynomial_string
 
@@ -115,7 +115,7 @@ def test_count_lines_match_profiles(capsys, monkeypatch, csv):
     code, out, _ = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
     assert code == 0
     assert out.splitlines() == expected
-    _count_fields.cache_clear()
+    _count_line.cache_clear()
     code, again, _ = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
     assert code == 0 and again == out
 
@@ -347,7 +347,7 @@ def test_verify_recognizes_the_benchmark_attainers_without_search(capsys, monkey
 
 
 def test_count_format_cache_is_bounded():
-    assert _count_fields.cache_info().maxsize is not None
+    assert _count_line.cache_info().maxsize is not None
 
 
 def test_bound_table(capsys):
@@ -435,7 +435,7 @@ def test_count_memory_stays_flat_over_blocks(monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     sink = LineCounter()
     monkeypatch.setattr("sys.stdout", sink)
-    _count_fields.cache_clear()
+    _count_line.cache_clear()
     tracemalloc.start()
     try:
         code = main(["count"])
@@ -710,7 +710,8 @@ def test_verify_recognizes_graphs_above_the_block_orders(capsys, monkeypatch, n)
     verify_relabeled_extremal_graphs(capsys, monkeypatch, n)
 
 
-def test_count_h15_on_lanes_and_h16_line_by_line(capsys, monkeypatch):
+@pytest.mark.parametrize("csv", [False, True])
+def test_count_h15_on_lanes_and_h16_line_by_line(capsys, monkeypatch, csv):
     # H(15,5) = 5 K3 has 243 maximal independent sets, the most any graph of
     # order 15 has (Moon-Moser), and a byte lane holds it; H(16,5) = 4 K3 + K4
     # has 324, which a lane would wrap, so order 16 must stay off the lanes
@@ -718,11 +719,15 @@ def test_count_h15_on_lanes_and_h16_line_by_line(capsys, monkeypatch):
     monkeypatch.setattr(
         "mismax.cli.mis_lane_counts", lambda *args: calls.append(args[0]) or mis_lane_counts(*args)
     )
+    argv = ["count", "--csv"] if csv else ["count"]
     for n, count in ((15, 243), (16, 324)):
         stdin = graph6_encode(build_H(n, 5)) + "\n"
-        code, out, err = run(capsys, ["count"], stdin=stdin, monkeypatch=monkeypatch)
-        line = f"graph=0 n={n} counts=0,0,0,0,0,{count} total={count} poly={count}x^5\n"
-        assert (code, out, err) == (0, line, "")
+        code, out, err = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+        if csv:
+            text = f'index,n,counts,total,poly\n0,{n},"0,0,0,0,0,{count}",{count},{count}x^5\n'
+        else:
+            text = f"graph=0 n={n} counts=0,0,0,0,0,{count} total={count} poly={count}x^5\n"
+        assert (code, out, err) == (0, text, "")
     assert calls == [15]
 
 

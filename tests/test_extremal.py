@@ -373,6 +373,44 @@ def test_extension_counts_match_bk_sampled_blocks(n, samples):
         _check_block(n, hh)
 
 
+def _block_edge_planes(n, hh):
+    """The edge planes of the block of G'' mask hh at order n, lane g the
+    graph with triangle mask hh << (2n-3) | g: the pair p sits at mask bit
+    b = C(n,2)-1-p, and bits below 2n-3 are bits of the lane index."""
+    low = 2 * n - 3
+    every = (1 << (1 << low)) - 1
+    planes = []
+    for p in range(n * (n - 1) // 2):
+        b = n * (n - 1) // 2 - 1 - p
+        if b >= low:
+            planes.append(every if hh >> (b - low) & 1 else 0)
+        else:  # the lanes with bit b set: 2^b clear, then 2^b set, repeated
+            planes.append(every // ((1 << 2**(b + 1)) - 1) * (((1 << 2**b) - 1) << 2**b))
+    return planes
+
+
+def _check_whole_block(n, hh):
+    planes = _block_edge_planes(n, hh)
+    lane_counts = mis_lane_counts(n, 1 << (2 * n - 3), planes, complement=False)
+    assert extremal._extension_counts(n, hh) == lane_counts, (n, hh)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_extension_counts_match_the_lane_kernel_every_representative(n):
+    # the lane kernel counts the block from its edge planes alone: no frame,
+    # no submask spread, no segments
+    for hh, _ in _orbit_representatives(n - 2):
+        _check_whole_block(n, hh)
+
+
+def test_extension_counts_match_the_lane_kernel_at_order_9():
+    nbits = 7 * 6 // 2
+    rng = random.Random("whole blocks:9")
+    sampled = rng.sample([hh for hh, _ in _orbit_representatives(7)], 3)
+    for hh in [0, (1 << nbits) - 1, *sampled]:
+        _check_whole_block(9, hh)
+
+
 def test_exhaustive_orders_fit_the_lane_bytes():
     # _extension_counts keeps one graph's count per byte, as mis_lane_counts
     # does, which holds up to _LANE_MAX_N (Moon-Moser)
