@@ -12,8 +12,6 @@ import sys
 import time
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
-from functools import lru_cache
-from itertools import islice, repeat
 
 # count runs on these alone; the other commands import extremal, and with it
 # canon, when they run
@@ -57,30 +55,36 @@ def _parse_t_range(spec: str) -> tuple[int, int]:
     return t, t
 
 
-# Lines of a block that count formats and writes at once; one join per block
-# would hold every line of a 16,384-graph block in memory.
-_WRITE_LINES = 2048
+class _CountTemplates(dict):
+    """Count lines after their index, by the counts of sizes 0..n, formatted on first
+    lookup: streams repeat few profiles. At limit lines, a new one drops them all."""
 
+    limit = 4096
 
-@lru_cache(maxsize=4096)
-def _count_line(counts: tuple[int, ...], csv: bool) -> str:
-    """The count line for the counts of sizes 0..n, with %d where its index
-    goes. Streams repeat few distinct profiles, so each is formatted once;
-    the cap bounds the memory."""
-    profile = SizeProfile(len(counts) - 1, counts)
-    coeffs = profile.coefficients()
-    counts_str = ",".join(str(c) for c in coeffs)
-    poly = polynomial_string(coeffs)
-    if csv:
-        return f'%d,{profile.n},"{counts_str}",{profile.total()},{poly}\n'
-    return f"graph=%d n={profile.n} counts={counts_str} total={profile.total()} poly={poly}\n"
+    def __init__(self, csv: bool):
+        self.fields = ',{},"{}",{},{}\n' if csv else " n={} counts={} total={} poly={}\n"
+
+    def __missing__(self, counts: Sequence[int]) -> str:
+        if len(self) >= self.limit:
+            self.clear()
+        if isinstance(counts, bytes):  # a block lane's, a byte per size
+            coeffs = counts[:len(counts.rstrip(b"\0")) or 1]
+        else:  # a Graph's profile counts, which may pass a byte
+            coeffs = SizeProfile(len(counts) - 1, counts).coefficients()
+        self[counts] = line = self.fields.format(
+            len(counts) - 1, ",".join(map(str, coeffs)), sum(coeffs), polynomial_string(coeffs)
+        )
+        return line
 
 
 def cmd_count(args: argparse.Namespace) -> int:
     out = sys.stdout
-    csv = args.csv
-    if csv:
+    head = "" if args.csv else "graph="
+    if args.csv:
         out.write("index,n,counts,total,poly\n")
+    templates = _CountTemplates(args.csv)
+    # an index below 1000 is one of numbers; from 1000 on, its thousands and one of digits
+    numbers, digits = list(map(str, range(1000))), [str(i)[1:] for i in range(1000, 2000)]
     index = 0
     with _opened(args.input) as fh:
         if args.format == "graph6":
@@ -89,17 +93,26 @@ def cmd_count(args: argparse.Namespace) -> int:
             items = [read_edge_list(fh.read())]
         for item in items:
             if isinstance(item, Graph):
-                out.write(_count_line(mis_size_profile(item).counts, csv) % index)
+                out.write(f"{head}{index}{templates[mis_size_profile(item).counts]}")
                 index += 1
                 continue
-            # byte g of each size column is graph g's count, so zip hands
-            # over one graph's counts at a time
-            columns = mis_lane_counts(item.n, item.size, item.edge_planes())
-            lines = map(_count_line, zip(*columns), repeat(csv))
-            for first in range(index, index + item.size, _WRITE_LINES):
-                last = min(first + _WRITE_LINES, index + item.size)
-                out.write("".join(islice(lines, last - first)) % tuple(range(first, last)))
-            index += item.size
+            # a lane's counts and a 0xFF, above any count (243 at most), key its line
+            stride = item.n + 2
+            rows = bytearray(b"\xff") * (stride * item.size)
+            for size, column in enumerate(mis_lane_counts(item.n, item.size, item.edge_planes())):
+                rows[size::stride] = column
+            end = index + item.size
+            # one write per thousand indices, whose lines share a head
+            while index < end:
+                thousands, rest = divmod(index, 1000)
+                span = min(end - index, 1000 - rest)
+                keys = bytes(rows[:stride * span]).split(b"\xff")[:-1]
+                del rows[:stride * span]
+                pieces = [f"{head}{thousands}" if thousands else head] * (3 * span)
+                pieces[1::3] = (digits if thousands else numbers)[rest:rest + span]
+                pieces[2::3] = map(templates.__getitem__, keys)
+                out.write("".join(pieces))
+                index += span
     return 0
 
 

@@ -5,9 +5,9 @@ from __future__ import annotations
 import io
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from itertools import chain
+from itertools import chain, groupby
 
-from .counting import _LANE_MAX_N
+from .counting import _LANE_MAX_N, _transpose8
 from .graph import Graph, from_edges, from_triangle_mask, triangle_mask
 
 GRAPH6_HEADER = ">>graph6<<"
@@ -25,13 +25,7 @@ _LINE_CHARS = _GRAPH6_CHARS + b"\n"
 _ZERO_PAD_CHARS = tuple(
     bytes(c for c in _GRAPH6_CHARS if not (c - 63) & ((1 << pad) - 1)) for pad in range(6)
 )
-# Entry b maps a data character to the digit "1" where its bit b, counted
-# from the most significant of its 6 bits, is set: the pair at that bit is
-# an edge.
-_EDGE_DIGITS = tuple(
-    bytes.maketrans(_GRAPH6_CHARS, bytes(b"01"[(c - 63) >> (5 - b) & 1] for c in _GRAPH6_CHARS))
-    for b in range(6)
-)
+_CHAR_BITS = bytes.maketrans(_GRAPH6_CHARS, bytes(range(64)))
 
 
 class CodecError(ValueError):
@@ -168,10 +162,13 @@ class Graph6Block(namedtuple("Graph6Block", "n size columns")):
 
     def edge_planes(self) -> tuple[int, ...]:
         """Per pair p in triangle_pairs order, an int whose bit g is set where
-        line g has the pair. The pair's bit lies in column p // 6, and one
-        translate of that column to binary digits, reversed, gives its plane."""
+        line g has the pair, bit 5 - p % 6 of column p // 6. A column's values,
+        8 lines to a slot, transpose to bytes of which byte b holds bit b."""
+        width = -(-self.size // 8) * 8
+        values = (column.translate(_CHAR_BITS).ljust(width, b"\0") for column in self.columns)
+        rows = list(_transpose8(values, width))
         return tuple(
-            int(self.columns[p // 6].translate(_EDGE_DIGITS[p % 6])[::-1], 2)
+            int.from_bytes(rows[p // 6][5 - p % 6::8], "little")
             for p in range(self.n * (self.n - 1) // 2)
         )
 
@@ -211,22 +208,26 @@ def read_graph6_blocks(fh: io.TextIOBase) -> Iterator[Graph6Block | Graph]:
 
     The text is read _BLOCK_CHARS characters at a time, plus the rest of
     the line they stop in. Each such cut that _graph6_block takes comes out
-    as one Graph6Block. A cut it refuses goes through read_graph6_stream,
-    one Graph per line, and the next cut starts after it. The line numbers
-    run on, so the errors name the same line as for the whole stream. From
-    a refused cut whose last line is blank, the rest of the stream goes
-    line by line.
+    as one Graph6Block. A cut it refuses splits into runs of lines of one
+    length: a run of two lines or more that _graph6_block takes is a block,
+    any other goes through read_graph6_stream, one Graph per line, and from
+    a blank line on, the rest of the stream does. The line numbers run on,
+    so the errors name the same line as for the whole stream.
     """
     lineno = 1
     while text := fh.read(_BLOCK_CHARS) + fh.readline():
-        block = _graph6_block(text)
-        if block is not None:
+        if (block := _graph6_block(text)) is not None:
             yield block
             lineno += block.size
             continue
-        if not text[text.rfind("\n", 0, -1) + 1:].strip():
+        lines = io.StringIO(text).readlines()
+        blank = [*map(str.isspace, lines), True].index(True)
+        for _, run in groupby(lines[:blank], len):
+            run = list(run)
+            block = _graph6_block("".join(run)) if len(run) > 1 else None
+            yield from read_graph6_stream(run, start=lineno) if block is None else [block]
+            lineno += len(run)
+        if blank < len(lines):
             # a blank line is an error only if a line follows it
-            yield from read_graph6_stream(chain(io.StringIO(text), fh), start=lineno)
+            yield from read_graph6_stream(chain(lines[blank:], fh), start=lineno)
             return
-        yield from read_graph6_stream(io.StringIO(text), start=lineno)
-        lineno += text.count("\n")

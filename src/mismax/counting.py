@@ -6,14 +6,14 @@ vertex sets at once, one bit per set in a big-int bitset; above it, and
 where the proof trace visits the cliques one by one, it runs pivoted
 Bron-Kerbosch. A block of graphs of one order up to _LANE_MAX_N, given as
 one edge plane per pair, is counted by one depth-first search over vertex
-sets, one graph per bit lane of each big int, into bit-sliced byte counters.
+sets, one graph per bit lane of each big int, into carry-save counters.
 A per-subset oracle provides an independent cross-check for small orders.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache, reduce
 from itertools import repeat
 from operator import and_, or_
@@ -29,9 +29,6 @@ _TABLE_MAX_N = 12
 # is a byte, and a graph on n vertices has at most 3^(n/3) maximal independent
 # sets (Moon-Moser), 243 at n = 15 but 324 at n = 16.
 _LANE_MAX_N = 15
-
-# "0"/"1" to the byte 0/1, for the lanes of a counter's plane
-_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class SizeProfile(namedtuple("SizeProfile", "n counts")):
@@ -132,6 +129,20 @@ def _subset_counts(adj: tuple[int, ...], n: int, complement: bool) -> list[int]:
     return [(kept & sets).bit_count() for sets in layer]
 
 
+def _transpose8(rows: Iterable[bytes | bytearray], width: int) -> Iterator[bytes]:
+    """Rows of width bytes, each 8-byte slot an 8x8 bit matrix with byte r its
+    row r, transposed: bit c of byte r goes to bit r of byte c, by swaps of the
+    4x4, 2x2 and 1x1 bit blocks off the diagonal on all slots of a row at once."""
+    swaps = (28, b"\xf0" * 4 + b"\0" * 4), (14, b"\xcc\xcc\0\0" * 2), (7, b"\xaa\0" * 4)
+    masks = [(shift, int.from_bytes(word * (width // 8), "little")) for shift, word in swaps]
+    for row in rows:
+        x = int.from_bytes(row, "little")
+        for shift, mask in masks:
+            t = (x >> shift ^ x) & mask
+            x ^= t ^ t << shift
+        yield x.to_bytes(width, "little")
+
+
 def mis_lane_counts(
     n: int, lanes: int, edges: Sequence[int], complement: bool = True
 ) -> list[bytes]:
@@ -152,10 +163,12 @@ def mis_lane_counts(
     no free[v] covers. A child S + u, u above every member, is independent on
     ind & free[u]; it is skipped when no lane is left.
 
-    The counts are bit-sliced: size s keeps a list of planes, plane k holding
-    bit k of every lane's count, and a maximal plane is added with a ripple
-    carry. At the end plane k becomes a byte per lane shifted by k, which
-    holds every count up to order _LANE_MAX_N; a larger order raises.
+    The counts are carry-save: size s keeps, per weight 2^k of a byte, a
+    [sum, pending] pair of planes (pending 0 when empty). A maximal plane goes
+    in at weight 1: an empty pending plane takes it, else a full adder folds
+    the three into the sum and a carry for the next weight. A last ripple
+    carry leaves a plane per weight, which _transpose8 turns into a byte per
+    lane, enough for any count up to order _LANE_MAX_N; larger orders raise.
     """
     if n > _LANE_MAX_N:
         raise ValueError(f"lane counts need n <= {_LANE_MAX_N}, got n={n}")
@@ -166,32 +179,35 @@ def mis_lane_counts(
     nonedge = [[0] * n for _ in range(n)]
     for plane, (i, j) in zip(edges, triangle_pairs(n), strict=True):
         nonedge[i][j] = nonedge[j][i] = plane ^ flip
-    counters: list[list[int]] = [[] for _ in range(n + 1)]
+    counters = [[[0, 0] for _ in range(8)] for _ in range(n + 1)]
 
     def visit(size: int, ind: int, free: list[int], start: int) -> None:
-        carry = ind & ~reduce(or_, free, 0)
-        if carry:
-            planes = counters[size]
-            for k, plane in enumerate(planes):
-                planes[k] = plane ^ carry
-                carry &= plane
-                if not carry:
+        # ind & ~covered, without the negative int that ~ makes and & undoes
+        plane = ind ^ (ind & reduce(or_, free, 0))
+        if plane:
+            for weight in counters[size]:
+                total, pending = weight
+                if not pending:
+                    weight[1] = plane
                     break
-            else:
-                planes.append(carry)
+                half = total ^ pending
+                weight[:] = half ^ plane, 0
+                plane = total & pending | half & plane
         for u in range(start, n):
             child = ind & free[u]
             if child:
                 visit(size + 1, child, list(map(and_, free, nonedge[u])), u + 1)
 
     visit(0, everywhere, [everywhere] * n, 0)
-    return [
-        sum(
-            int.from_bytes(format(plane, "b").encode().translate(_DIGIT_BYTES), "big") << k
-            for k, plane in enumerate(planes)
-        ).to_bytes(lanes, "little")
-        for planes in counters
-    ]
+    groups = -(-lanes // 8)
+    rows = [bytearray(8 * groups) for _ in counters]
+    for row, weights in zip(rows, counters):
+        carry = 0
+        for k, (total, pending) in enumerate(weights):
+            half = total ^ pending
+            row[k::8] = (half ^ carry).to_bytes(groups, "little")
+            carry = total & pending | half & carry
+    return [row[:lanes] for row in _transpose8(rows, 8 * groups)]
 
 
 def maximal_clique_counts(adj: tuple[int, ...], n: int) -> list[int]:

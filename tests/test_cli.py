@@ -23,7 +23,8 @@ from mismax import (
     read_graph6_stream,
     verify_bound_stream,
 )
-from mismax.cli import _any_int_digits, _count_line, _print_report, main
+from mismax import cli
+from mismax.cli import _any_int_digits, _print_report, main
 from mismax.codec import _BLOCK_CHARS
 from mismax.counting import mis_lane_counts, polynomial_string
 
@@ -89,35 +90,39 @@ def test_count_csv(capsys, monkeypatch):
 
 
 def count_stream():
-    """Seeded 9-vertex graphs, each twice so that profiles repeat, then n = 0 and n = 1."""
+    """Seeded 9-vertex graphs, each twice so that profiles repeat, and K9,
+    whose counts end in 8 zeros, over 10,100 lines: one block, whose
+    indices cross 1,000 and 10,000; then n = 0 and n = 1, line by line."""
     rng = random.Random(9)
     lines = [graph6_encode(random_graph(rng, 9, (0.2, 0.5, 0.8)[i % 3])) for i in range(150)]
-    return lines + lines[::-1] + ["?", "@"]
+    lines += lines[::-1]
+    return (lines * 34)[:10099] + ["H~~~~~~", "?", "@"]
+
+
+@lru_cache(maxsize=None)
+def count_fields(line):
+    """The counts, total and poly fields of a count line, for a graph6 line."""
+    coeffs = mis_size_profile(graph6_decode(line)).coefficients()
+    return ",".join(map(str, coeffs)), sum(coeffs), polynomial_string(coeffs)
 
 
 @pytest.mark.parametrize("csv", [False, True])
 def test_count_lines_match_profiles(capsys, monkeypatch, csv):
     lines = count_stream()
     expected = ["index,n,counts,total,poly"] if csv else []
-    profiles = set()
     for index, line in enumerate(lines):
-        profile = mis_size_profile(graph6_decode(line))
-        profiles.add(profile)
-        coeffs = profile.coefficients()
-        counts, total, poly = ",".join(map(str, coeffs)), sum(coeffs), polynomial_string(coeffs)
+        n = ord(line[0]) - 63
+        counts, total, poly = count_fields(line)
         if csv:
-            expected.append(f'{index},{profile.n},"{counts}",{total},{poly}')
+            expected.append(f'{index},{n},"{counts}",{total},{poly}')
         else:
-            expected.append(f"graph={index} n={profile.n} counts={counts} total={total} poly={poly}")
-    assert len(profiles) < len(lines)
+            expected.append(f"graph={index} n={n} counts={counts} total={total} poly={poly}")
+    assert len(set(lines)) < len(lines)
     argv = ["count", "--csv"] if csv else ["count"]
     stdin = "\n".join(lines) + "\n"
     code, out, _ = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
     assert code == 0
     assert out.splitlines() == expected
-    _count_line.cache_clear()
-    code, again, _ = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
-    assert code == 0 and again == out
 
 
 # the count_cases inputs of one block size share most of their lines, about
@@ -346,8 +351,25 @@ def test_verify_recognizes_the_benchmark_attainers_without_search(capsys, monkey
     assert code == 0 and workload.check(out) is None
 
 
-def test_count_format_cache_is_bounded():
-    assert _count_line.cache_info().maxsize is not None
+def test_count_format_cache_is_bounded(capsys, monkeypatch):
+    # a count drops its templates when one more would pass their limit, and
+    # prints every line as it would with them all
+    sizes = []
+
+    class Templates(cli._CountTemplates):
+        def __missing__(self, key):
+            line = super().__missing__(key)
+            sizes.append(len(self))
+            return line
+
+    monkeypatch.setattr("mismax.cli._CountTemplates", Templates)
+    stdin = "\n".join(count_stream()) + "\n"
+    expected = run(capsys, ["count"], stdin=stdin, monkeypatch=monkeypatch)
+    distinct = len(sizes)
+    sizes.clear()
+    monkeypatch.setattr(Templates, "limit", 50)
+    assert run(capsys, ["count"], stdin=stdin, monkeypatch=monkeypatch) == expected
+    assert max(sizes) == 50 and len(sizes) > distinct
 
 
 def test_bound_table(capsys):
@@ -435,7 +457,6 @@ def test_count_memory_stays_flat_over_blocks(monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     sink = LineCounter()
     monkeypatch.setattr("sys.stdout", sink)
-    _count_line.cache_clear()
     tracemalloc.start()
     try:
         code = main(["count"])

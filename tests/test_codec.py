@@ -271,10 +271,28 @@ def test_graph6_block_refuses_other_layouts(text):
     assert _graph6_block(text) is None
 
 
-def test_read_graph6_blocks_goes_line_by_line_from_the_first_refused_block(monkeypatch):
+def test_read_graph6_blocks_split_a_refused_cut_at_its_odd_lines(monkeypatch):
+    # the first 64 characters and the rest of their line hold 3 lines of
+    # order 9, an odd line of order 8 and 5 lines of order 9: a block, the
+    # odd line as a Graph, and a block again
+    monkeypatch.setattr("mismax.codec._BLOCK_CHARS", 64)
+    lines = [graph6_of_mask(9, mask * 0x2F1D3) for mask in range(12)]
+    items = list(read_graph6_blocks(io.StringIO(text_of([*lines[:3], "G?????", *lines[3:]]))))
+    assert items == [
+        _graph6_block(text_of(lines[:3])),
+        graph6_decode("G?????"),
+        _graph6_block(text_of(lines[3:8])),
+        _graph6_block(text_of(lines[8:])),
+    ]
+    # a run of one line between odd lines is a Graph, not a block of one
+    items = list(read_graph6_blocks(io.StringIO(text_of(["G?????", lines[0], "G?????", *lines[1:4]]))))
+    assert items == [
+        *map(graph6_decode, ["G?????", lines[0], "G?????"]),
+        _graph6_block(text_of(lines[1:4])),
+    ]
+    # orders 2 and 3 have lines of one length: a run that mixes them goes
+    # line by line
     monkeypatch.setattr("mismax.codec._BLOCK_CHARS", 8)
-    # the first 8 characters and the rest of their line hold three whole
-    # lines; the next cut mixes orders
     items = list(read_graph6_blocks(io.StringIO("Bw\nBo\nBw\nBo\nA_\nBw\n")))
     assert items[0] == Graph6Block(3, 3, (b"wow",))
     assert items[1:] == [graph6_decode(line) for line in ["Bo", "A_", "Bw"]]
@@ -296,12 +314,13 @@ def test_read_graph6_blocks_skip_a_header(monkeypatch):
 
 def test_read_graph6_blocks_resume_blocks_after_a_refused_cut(monkeypatch):
     # an order-8 line refuses the first cut, which stops in the 8th line of
-    # order 9; from the 9th on, every cut is a block again, of 9 lines
+    # order 9; the 8 lines after it are a block, and from the 9th on, every
+    # cut is a block again, of 9 lines
     monkeypatch.setattr("mismax.codec._BLOCK_CHARS", 64)
     lines = [graph6_of_mask(9, mask * 0x2F1D3) for mask in range(40)]
     items = list(read_graph6_blocks(io.StringIO(text_of(["G?????", *lines]))))
-    assert items[:9] == [graph6_decode(line) for line in ["G?????", *lines[:8]]]
-    assert items[9:] == [_graph6_block(text_of(lines[k:k + 9])) for k in range(8, 40, 9)]
+    assert items[:2] == [graph6_decode("G?????"), _graph6_block(text_of(lines[:8]))]
+    assert items[2:] == [_graph6_block(text_of(lines[k:k + 9])) for k in range(8, 40, 9)]
 
 
 def test_read_graph6_blocks_errors_after_resuming_name_their_line(monkeypatch):
@@ -312,8 +331,10 @@ def test_read_graph6_blocks_errors_after_resuming_name_their_line(monkeypatch):
     items = []
     with pytest.raises(CodecError, match="^line 31: graph6 string length 6 wrong"):
         items.extend(read_graph6_blocks(io.StringIO(text_of(lines))))
-    assert items[9:11] == [_graph6_block(text_of(lines[k:k + 9])) for k in (9, 18)]
-    assert items[11:] == [graph6_decode(line) for line in lines[27:30]]
+    assert items[:3] == [*map(graph6_decode, lines[:2]), _graph6_block(text_of(lines[2:9]))]
+    assert items[3:] == [_graph6_block(text_of(lines[k:k + 9])) for k in (9, 18)] + [
+        _graph6_block(text_of(lines[27:30]))
+    ]
 
 
 def test_read_graph6_stream_numbers_from_start():

@@ -293,6 +293,11 @@ def test_lane_counts_reach_moon_moser_without_carry():
     # vertices; lanes of 81 next to lanes of 1 show any carry between bytes
     graphs = [build_H(12, 4), complete_graph(12)] * 50
     assert lane_profiles(graphs) == [(0,) * 4 + (81,) + (0,) * 8, (0, 12) + (0,) * 11] * 50
+    # H(15,5) = 5 K3 has 243, the most a lane holds: its 243 maximal sets of
+    # size 5 run full adders at weights 1 to 64, all but 128, where the first
+    # would take 256 planes, and the count needs all 8 weights
+    graphs = [build_H(15, 5), complete_graph(15)] * 40
+    assert lane_profiles(graphs) == [(0,) * 5 + (243,) + (0,) * 10, (0, 15) + (0,) * 14] * 40
 
 
 @pytest.mark.parametrize("lanes", [1, 7, 8, 9, 29, 30, 31, 63, 64, 65])
