@@ -8,7 +8,7 @@ uses.
 
 # public name -> the module that defines it
 _EXPORTS = {
-    "CanonicalForm": "canon",
+    "CanonicalForm": "graph",
     "canonical_form": "canon",
     "CodecError": "codec",
     "graph6_decode": "codec",

@@ -13,17 +13,9 @@ import time
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 
-# count runs on these alone; the other commands import extremal, and with it
-# canon, when they run
-from .codec import (
-    graph6_encode,
-    read_edge_list,
-    read_graph6_blocks,
-    read_graph6_stream,
-    write_edge_list,
-)
-from .counting import SizeProfile, mis_lane_counts, mis_size_profile, polynomial_string
-from .graph import Graph
+# each command imports the modules it runs: verify --n loads extremal alone,
+# count loads codec and counting
+from .graph import Graph, _graph6
 
 
 @contextmanager
@@ -36,6 +28,8 @@ def _opened(path: str):
 
 
 def _read_graphs(path: str, fmt: str) -> Iterator[Graph]:
+    from .codec import read_edge_list, read_graph6_stream
+
     with _opened(path) as fh:
         if fmt == "graph6":
             yield from read_graph6_stream(fh)
@@ -62,7 +56,10 @@ class _CountTemplates(dict):
     limit = 4096
 
     def __init__(self, csv: bool):
+        from .counting import SizeProfile, polynomial_string
+
         self.fields = ',{},"{}",{},{}\n' if csv else " n={} counts={} total={} poly={}\n"
+        self.profile, self.polynomial = SizeProfile, polynomial_string
 
     def __missing__(self, counts: Sequence[int]) -> str:
         if len(self) >= self.limit:
@@ -70,14 +67,17 @@ class _CountTemplates(dict):
         if isinstance(counts, bytes):  # a block lane's, a byte per size
             coeffs = counts[:len(counts.rstrip(b"\0")) or 1]
         else:  # a Graph's profile counts, which may pass a byte
-            coeffs = SizeProfile(len(counts) - 1, counts).coefficients()
+            coeffs = self.profile(len(counts) - 1, counts).coefficients()
         self[counts] = line = self.fields.format(
-            len(counts) - 1, ",".join(map(str, coeffs)), sum(coeffs), polynomial_string(coeffs)
+            len(counts) - 1, ",".join(map(str, coeffs)), sum(coeffs), self.polynomial(coeffs)
         )
         return line
 
 
 def cmd_count(args: argparse.Namespace) -> int:
+    from .codec import read_edge_list, read_graph6_blocks
+    from .counting import mis_lane_counts, mis_size_profile
+
     out = sys.stdout
     head = "" if args.csv else "graph="
     if args.csv:
@@ -131,6 +131,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_extremal(args: argparse.Namespace) -> int:
+    from .codec import graph6_encode, write_edge_list
     from .extremal import build_H, build_turan
 
     n, t = args.n, args.t
@@ -144,7 +145,7 @@ def cmd_extremal(args: argparse.Namespace) -> int:
 
 def _format_attainers(forms) -> str:
     """The graph6 of each CanonicalForm, joined by |, or - for none."""
-    return "|".join(graph6_encode(cf.to_graph()) for cf in forms) or "-"
+    return "|".join(_graph6(cf.n, cf.key) for cf in forms) or "-"
 
 
 def _print_report(report) -> None:
@@ -171,6 +172,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise SystemExit2(f"{' and '.join(given)} cannot be combined with --input")
         if args.t is None:
             raise SystemExit2("--t is required with --input")
+        from .codec import read_graph6_blocks
+
         with _opened(args.input) as fh:
             reports.append(verify_bound_stream(
                 read_graph6_blocks(fh), args.t, side=args.side, source=args.input

@@ -8,7 +8,7 @@ from collections.abc import Iterable, Iterator
 from itertools import chain, groupby
 
 from .counting import _LANE_MAX_N, _transpose8
-from .graph import Graph, from_edges, from_triangle_mask, triangle_mask
+from .graph import Graph, _graph6, from_edges, from_triangle_mask, triangle_mask
 
 GRAPH6_HEADER = ">>graph6<<"
 GRAPH6_MAX_N = 62
@@ -76,14 +76,7 @@ def graph6_encode(g: Graph) -> str:
     """Encode a Graph as a minimal-length short-form graph6 string, no header."""
     if g.n > GRAPH6_MAX_N:
         raise CodecError(f"graph order {g.n} exceeds graph6 short form limit {GRAPH6_MAX_N}")
-    n = g.n
-    nbits = n * (n - 1) // 2
-    nbytes = (nbits + 5) // 6
-    bitstream = triangle_mask(g) << (6 * nbytes - nbits)
-    chars = [chr(n + 63)]
-    for k in range(nbytes - 1, -1, -1):
-        chars.append(chr((bitstream >> 6 * k & 63) + 63))
-    return "".join(chars)
+    return _graph6(g.n, triangle_mask(g))
 
 
 def read_edge_list(text: str) -> Graph:

@@ -18,7 +18,7 @@ from functools import lru_cache, reduce
 from itertools import repeat
 from operator import and_, or_
 
-from .graph import Graph, _complement_rows, triangle_pairs
+from .graph import Graph, _complement_rows, _submasks, triangle_pairs
 
 ORACLE_MAX_N = 24
 
@@ -82,17 +82,6 @@ def _expand(adj: tuple[int, ...], visit, rmask: int, rsize: int, p: int, x: int)
         p &= ~b
         x |= b
         cand &= cand - 1
-
-
-# (width, stride): the subset tables at stride 1, the exhaustive scan at 8
-@lru_cache(maxsize=2 * (_TABLE_MAX_N + 1))
-def _submasks(width: int, stride: int) -> tuple[int, ...]:
-    """Entry x has a 1 at bit stride*s for every submask s of x, for x below 2^width."""
-    table = [1]
-    for v in range(width):
-        shift = stride << v
-        table += [p | p << shift for p in table]
-    return tuple(table)
 
 
 @lru_cache(maxsize=_TABLE_MAX_N + 1)

@@ -23,23 +23,19 @@ from __future__ import annotations
 
 import os
 from collections import namedtuple
-from collections.abc import Hashable, Iterable, Sequence
+from collections.abc import Container, Hashable, Iterable, Iterator, Sequence
 from functools import lru_cache
+from itertools import accumulate
+from operator import add, mul
 
-from .canon import CANON_MAX_N, CanonicalForm, _orbit_representatives, canonical_form
-from .codec import Graph6Block, graph6_encode
-from .counting import (
-    _expand,
-    _submasks,
-    maximal_clique_counts,
-    maximal_clique_size_profile,
-    mis_lane_counts,
-    mis_size_profile,
-)
+# the exhaustive scan runs on graph alone; the other layers load where used
 from .graph import (
+    CANON_MAX_N,
     MAX_VERTICES,
     _bit_pairs,
     _rows_from_mask,
+    _submasks,
+    CanonicalForm,
     Graph,
     complete_graph,
     degree,
@@ -134,6 +130,9 @@ def auto_split_vertex(g: Graph) -> int:
 
 def induction_split(g: Graph, t: int, v: int | str = AUTO) -> SplitReport:
     """Count the A/B split of t-maximal cliques around vertex v by direct enumeration."""
+    from .codec import graph6_encode
+    from .counting import _expand, maximal_clique_counts
+
     if t < 1:
         raise ValueError("t must be >= 1")
     if v == AUTO:
@@ -253,6 +252,8 @@ def _attainer_form(n: int, mask: int) -> CanonicalForm:
     mask itself, which dedupes labeled copies only."""
     if n > CANON_MAX_N:
         return CanonicalForm(n, mask)
+    from .canon import canonical_form
+
     return canonical_form(from_triangle_mask(n, mask))
 
 
@@ -304,12 +305,11 @@ def _report(
     """Shared tail of both verifiers: dedupe the attainer keys in first-seen
     order and compare them with the extremal graph of the side.
 
-    A key is _EXTREMAL for an attainer that _p3_free_lanes recognizes as
-    the side's extremal graph, and the attainer's form (_attainer_form)
-    otherwise. The sentinel is swapped for _extremal_form, made once per
-    report in closed form, so canonical_form runs only on unrecognized
-    attainers. The coverage gains ",uncanonical" if an unrecognized
-    attainer above CANON_MAX_N is reported by its own labeling.
+    A key is _EXTREMAL for attainers that _p3_free_lanes recognizes or the
+    exhaustive census certifies, and _attainer_form's otherwise, so the
+    canonical search runs only on unrecognized attainers; the sentinel
+    becomes _extremal_form. The coverage gains ",uncanonical" if an
+    unrecognized attainer above CANON_MAX_N is reported by its own labeling.
     """
     f = bound_f(n, t).f
     attainers: tuple[CanonicalForm, ...] = ()
@@ -341,6 +341,63 @@ def _frame_pairs(m: int) -> tuple[tuple[int, int, int, int], ...]:
     """graph._bit_pairs(m) relabeled v -> m - v: the pairs of G'' in the
     frame of the exhaustive scan, where vertex 0 is left free for j."""
     return tuple((m - i, m - j, 1 << m - i, 1 << m - j) for i, j, _, _ in _bit_pairs(m))
+
+
+def _permutation_bit_tables(n: int, perm: list[int], width: int) -> list[list[int]]:
+    """Two lookup tables, for mask bits below width and for the rest, whose
+    entries OR to a triangle mask with a vertex permutation applied."""
+    pairs = [(i, j) for i, j, _, _ in _bit_pairs(n)]
+    # dest[b]: where the permutation sends the pair stored at mask bit b
+    dest = [pairs.index(tuple(sorted((perm[i], perm[j])))) for i, j in pairs]
+    tables = []
+    for first, stop in ((0, width), (width, len(pairs))):
+        tab = [0] * (1 << (stop - first))
+        for val in range(1, len(tab)):
+            low = val & -val
+            tab[val] = tab[val ^ low] | 1 << dest[first + low.bit_length() - 1]
+        tables.append(tab)
+    return tables
+
+
+def _orbit_representatives(m: int) -> Iterator[tuple[int, int]]:
+    """Yield (mask, orbit size) for each orbit of S_m on the triangle masks
+    of order m (m <= 7), by a walk over all 2^(m(m-1)/2) masks.
+
+    The walk starts a new orbit at each mask not yet visited, in ascending
+    order, so the yielded mask is the smallest in its orbit, which is its
+    canonical_form key. The orbit sizes sum to 2^(m(m-1)/2).
+    """
+    if m > 7:
+        raise ValueError("exhaustive orbit walk limited to m <= 7")
+    if m <= 1:
+        yield 0, 1
+        return
+    nbits = m * (m - 1) // 2
+    total = 1 << nbits
+    width = nbits // 2
+    low_bits = (1 << width) - 1
+    swap = [1, 0, *range(2, m)]
+    cycle = [*range(1, m), 0]
+    # a transposition and an m-cycle generate S_m
+    (swap_low, swap_high), (cycle_low, cycle_high) = (
+        _permutation_bit_tables(m, p, width) for p in (swap, cycle)
+    )
+    visited = bytearray(total)
+    for start in range(total):
+        if visited[start]:
+            continue
+        visited[start] = 1
+        size = 1
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            low, high = x & low_bits, x >> width
+            for y in (swap_low[low] | swap_high[high], cycle_low[low] | cycle_high[high]):
+                if not visited[y]:
+                    visited[y] = 1
+                    size += 1
+                    stack.append(y)
+        yield start, size
 
 
 def _extension_counts(n: int, hh: int) -> list[bytes]:
@@ -434,9 +491,9 @@ def _lane_reduce(column: bytes, most: int, f: int) -> tuple[int, list[int]]:
     """The larger of most and the largest count in the column of per-lane
     counts, and the lanes whose count is f, in ascending order; none if
     f = 0, which every graph meets with no extremal graph (see _report)."""
-    # deleting the counts up to the maximum so far leaves the larger ones
-    if column.translate(None, bytes(range(most + 1))):
-        most = max(column)
+    # deleting the counts up to the maximum so far leaves the larger ones,
+    # often none, so max() walks only those
+    most = max(column.translate(None, bytes(range(most + 1))), default=most)
     lanes = []
     if f:
         lane = column.find(f)
@@ -446,24 +503,35 @@ def _lane_reduce(column: bytes, most: int, f: int) -> tuple[int, list[int]]:
     return most, lanes
 
 
+def _labeled_copies(n: int, t: int) -> int:
+    """The labeled copies of H(n,t), and of its complement T(n,t):
+    n!/|Aut H(n,t)|, with |Aut H(n,t)| = q!^(t-r) (t-r)! (q+1)!^r r!."""
+    q, r = divmod(n, t)
+    fact = list(accumulate(range(1, n + 2), mul, initial=1))
+    return fact[n] // (fact[q] ** (t - r) * fact[t - r] * fact[q + 1] ** r * fact[r])
+
+
 def _scan_blocks(
-    n: int, blocks: Iterable[tuple[int, int]]
-) -> tuple[list[int], dict[int, list[int]], int]:
+    n: int, blocks: Iterable[tuple[int, int]], collect: Container[int] = ()
+) -> tuple[list[int], list[int], dict[int, list[int]], int]:
     """Worker: count the maximal cliques of the labeled n-vertex graphs whose
     first n-2 vertices have triangle mask hh, for each (hh, orbit) of blocks,
     2^(2n-3) graphs per mask (the one graph for n = 1).
 
     A block stands for the orbit blocks whose G'' is a relabeling of its
     own: their lanes hold its counts permuted, so they share its per-t
-    maxima, and if hh is the smallest mask of its orbit, the block holds
-    the smallest labeled mask of every class the orbit's blocks contain.
+    maxima and number of attainers, and if hh is the smallest mask of its
+    orbit, the block holds the smallest labeled mask of every class the
+    orbit's blocks contain.
 
-    Returns (per-t maximum counts, {t: masks attaining bound_f(n,t)} in
-    block order, number of graphs covered: orbit * 2^(2n-3) per block).
+    Returns (per-t maximum counts, per-t census: orbit * attainer lanes
+    summed over the blocks, {t: masks attaining bound_f(n,t) in block
+    order} for each t of collect, graphs covered: orbit * 2^(2n-3) a block).
     """
     bounds = [0] + [bound_f(n, t).f for t in range(1, n + 1)]
     max_counts = [0] * (n + 1)
-    attainers: dict[int, list[int]] = {t: [] for t in range(1, n + 1)}
+    census = [0] * (n + 1)
+    masks: dict[int, list[int]] = {t: [] for t in collect}
     covered = 0
     for hh, orbit in blocks:
         counts = _extension_counts(n, hh)
@@ -472,45 +540,51 @@ def _scan_blocks(
         base = hh * lanes  # hh << (2n-3)
         for t in range(1, n + 1):
             max_counts[t], found = _lane_reduce(counts[t], max_counts[t], bounds[t])
-            attainers[t].extend(base | lane for lane in found)
-    return max_counts, attainers, covered
+            census[t] += orbit * len(found)
+            if t in masks:
+                masks[t].extend(base | lane for lane in found)
+    return max_counts, census, masks, covered
 
 
 def _exhaustive_reports(
     n: int,
     ts: Sequence[int],
     side: str,
-    parts: Iterable[tuple[list[int], dict[int, list[int]], int]],
+    blocks: Sequence[tuple[int, int]],
+    parts: Iterable[tuple[list[int], list[int], dict[int, list[int]], int]],
 ) -> list[ExtremalReport]:
-    """Merge the _scan_blocks results of one scan, in block order, into one
-    report per t; raises ValueError unless they cover exactly the 2^C(n,2)
-    labeled graphs."""
+    """Merge the _scan_blocks results of one scan of blocks into one report
+    per t; raises ValueError unless they cover exactly the 2^C(n,2) labeled
+    graphs, or if the census of a t fails but its rescanned attainers are
+    the extremal graph alone. A t fails if a count passes f or its census
+    is not _labeled_copies(n, t)."""
     total = 1 << (n * (n - 1) // 2)
-    max_counts = [0] * (n + 1)
-    attainer_masks: dict[int, list[int]] = {t: [] for t in range(1, n + 1)}
-    covered = 0
-    for mc, att, graphs in parts:
-        for t in range(n + 1):
-            max_counts[t] = max(max_counts[t], mc[t])
-        for t, masks in att.items():
-            attainer_masks[t].extend(masks)
+    max_counts, census, covered = [0] * (n + 1), [0] * (n + 1), 0
+    for mc, cs, _, graphs in parts:
+        max_counts = list(map(max, max_counts, mc))
+        census = list(map(add, census, cs))
         covered += graphs
     if covered != total:
         raise ValueError(
             f"exhaustive scan covered {covered} of the {total} labeled graphs on {n} vertices"
         )
-
+    copies = {t: _labeled_copies(n, t) for t in ts}
+    failed = [t for t in ts if max_counts[t] > bound_f(n, t).f or census[t] != copies[t]]
+    masks = _scan_blocks(n, blocks, failed)[2] if failed else {}
     # the masks are clique-side attainers: the MIS attainer is the complement
     flip = total - 1 if side == "mis" else 0  # XOR with all edges complements
-
-    def keys(t: int) -> Iterable[Hashable]:
-        for mask in attainer_masks[t]:
-            yield _attainer_key(n, mask ^ flip, side == "clique")
-
-    return [
-        _report(n, t, side, max_counts[t], keys(t), covered, f"exhaustive-labeled({n})")
-        for t in ts
-    ]
+    reports = []
+    for t in ts:
+        keys = [_EXTREMAL] if t not in masks else (
+            _attainer_key(n, mask ^ flip, side == "clique") for mask in masks[t])
+        report = _report(n, t, side, max_counts[t], keys, covered, f"exhaustive-labeled({n})")
+        if report.unique_attainer and census[t] != copies[t]:
+            raise ValueError(
+                f"exhaustive scan found {census[t]} labeled attainers at n={n}, t={t}, "
+                f"all of them the extremal graph, which has {copies[t]} labeled copies"
+            )
+        reports.append(report)
+    return reports
 
 
 def verify_bound_exhaustive(
@@ -529,10 +603,16 @@ def verify_bound_exhaustive(
 
     Every labeled graph relabels, by a permutation of its first n-2
     vertices, into the block of one orbit representative of G'', so the
-    kernel runs once per representative, in ascending mask order; the
-    attainer classes then come in the order of their smallest labeled
-    mask, as in a scan of every block. Raises ValueError unless the orbit
-    sizes times 2^(2n-3) sum to exactly 2^C(n,2).
+    kernel runs once per representative, in ascending mask order. Raises
+    ValueError unless the orbit sizes times 2^(2n-3) sum to exactly 2^C(n,2).
+
+    Each t is certified by two numbers: its largest count, and its census,
+    the labeled graphs attaining f. Every labeled copy of the extremal graph
+    attains f, so it is the only attainer exactly when no count passes f
+    and the census is n!/|Aut H(n,t)|; then no attainer mask is kept. A t
+    that fails is scanned again for its masks, and the report names their
+    classes in the order of their smallest labeled mask, as a scan of every
+    block would.
     """
     _check_exhaustive_order(n)
     if side not in ("mis", "clique"):
@@ -559,7 +639,7 @@ def verify_bound_exhaustive(
             parts = pool.starmap(_scan_blocks, jobs)
     else:
         parts = [_scan_blocks(n, blocks)]
-    return _exhaustive_reports(n, ts, side, parts)
+    return _exhaustive_reports(n, ts, side, blocks, parts)
 
 
 def verify_bound_stream(
@@ -577,18 +657,17 @@ def verify_bound_stream(
     extremal graph; only the others are decoded, each distinct mask keyed
     once by _attainer_form. A Graph item, of a refused cut or a larger order,
     is counted and keyed on its own.
-    Uniqueness is not certified for streams (coverage is not exhaustive);
-    unique_attainer reflects only the graphs seen. Attainers are keyed as
-    they arrive, in lane order within a block, the recognized extremal
-    graph by one sentinel and any other attainer by its form, and _report
-    dedupes the keys in first-seen order, so canonical_form runs only on
-    unrecognized attainers. No order is too large: above CANON_MAX_N the
-    forms are not canonical (see ExtremalReport).
+    Uniqueness is not certified for streams: unique_attainer reflects only
+    the graphs seen, keyed as they arrive (lanes in order) and deduped by
+    _report in first-seen order. No order is too large: above CANON_MAX_N
+    the forms are not canonical (see ExtremalReport).
     """
     if t < 1:
         raise ValueError("t must be >= 1")
     if side not in ("mis", "clique"):
         raise ValueError("side must be 'mis' or 'clique'")
+    from .counting import maximal_clique_size_profile, mis_lane_counts, mis_size_profile
+
     turan = side == "clique"
     n = None
     max_observed = 0

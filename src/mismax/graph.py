@@ -6,7 +6,9 @@ vertex v is in the set. All structural operations return new graphs.
 This module also owns the upper-triangle edge mask, the one integer
 encoding of a whole graph used by graph6, the canonical key and the
 exhaustive scan: pairs in column order (0,1), (0,2), (1,2), (0,3), ...,
-earlier pairs in more significant bits.
+earlier pairs in more significant bits. It also holds what the exhaustive
+scan and its report need of other layers, so that `verify --n` loads no
+codec, counting or canon: graph6 characters, CanonicalForm and _submasks.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from functools import lru_cache
 from operator import xor
 
 MAX_VERTICES = 64
+CANON_MAX_N = 10
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -191,3 +194,31 @@ def from_triangle_mask(n: int, mask: int) -> Graph:
         raise ValueError(f"triangle mask has bits beyond the {nbits} pairs of n={n}")
     # rows built from pairs are symmetric, loop-free and in range: no re-check
     return Graph._make((n, _rows_from_mask(n, mask)))
+
+
+def _graph6(n: int, mask: int) -> str:
+    """The short-form graph6 string of an order-n triangle mask (n <= 62)."""
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    stream = mask << (6 * nbytes - nbits)
+    return chr(n + 63) + "".join(chr((stream >> 6 * k & 63) + 63) for k in reversed(range(nbytes)))
+
+
+class CanonicalForm(namedtuple("CanonicalForm", "n key")):
+    """Order n plus the minimal triangle mask as an integer key (canon.canonical_form)."""
+
+    __slots__ = ()
+
+    def to_graph(self) -> Graph:
+        return from_triangle_mask(self.n, self.key)
+
+
+# keys: counting's (width <= 12, stride 1), the exhaustive scan's (width <= 8, stride 8)
+@lru_cache(maxsize=32)
+def _submasks(width: int, stride: int) -> tuple[int, ...]:
+    """Entry x has a 1 at bit stride*s for every submask s of x, for x below 2^width."""
+    table = [1]
+    for v in range(width):
+        shift = stride << v
+        table += [p | p << shift for p in table]
+    return tuple(table)

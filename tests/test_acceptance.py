@@ -25,8 +25,8 @@ from mismax import (
     proof_subcase,
     verify_bound_exhaustive,
 )
-from mismax.canon import _orbit_representatives
 from mismax.counting import maximal_clique_counts
+from mismax.extremal import _orbit_representatives
 from mismax.graph import Graph
 
 from conftest import moon_moser_total, random_graph

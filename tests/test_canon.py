@@ -16,8 +16,7 @@ from mismax import (
     empty_graph,
     from_edges,
 )
-from mismax.canon import _orbit_representatives
-from mismax.extremal import build_turan
+from mismax.extremal import _orbit_representatives, build_turan
 from mismax.graph import from_triangle_mask, triangle_mask
 
 from conftest import cycle_graph, path_graph, permute, random_graph

@@ -298,8 +298,8 @@ def test_verify_blocks_match_line_by_line(capsys, monkeypatch, block_chars):
     # so the real block size runs in seconds
     monkeypatch.setattr("mismax.codec.graph6_decode", lru_cache(maxsize=1 << 17)(graph6_decode))
     for name in ("mis_size_profile", "maximal_clique_size_profile"):
-        monkeypatch.setattr(f"mismax.extremal.{name}", lru_cache(maxsize=1 << 17)(globals()[name]))
-    monkeypatch.setattr("mismax.extremal.mis_lane_counts", lru_cache(maxsize=32)(mis_lane_counts))
+        monkeypatch.setattr(f"mismax.counting.{name}", lru_cache(maxsize=1 << 17)(globals()[name]))
+    monkeypatch.setattr("mismax.counting.mis_lane_counts", lru_cache(maxsize=32)(mis_lane_counts))
     monkeypatch.setattr("mismax.codec._BLOCK_CHARS", block_chars)
     cases = dict(count_cases(block_chars), attainers=attainer_stream())
     for name, text in cases.items():
@@ -340,7 +340,6 @@ def test_verify_recognizes_the_benchmark_attainers_without_search(capsys, monkey
     calls = []
     for target in (
         "mismax.canon.canonical_form",
-        "mismax.extremal.canonical_form",
         "mismax.extremal.from_triangle_mask",
         "mismax.codec.Graph6Block.lane_mask",
     ):
@@ -692,8 +691,9 @@ def verify_relabeled_extremal_graphs(capsys, monkeypatch, n):
     recognized, with no canonical search, so the report is unique and
     carries no ",uncanonical"."""
     rng = random.Random(n)
-    for target in ("mismax.canon.canonical_form", "mismax.extremal.canonical_form"):
-        monkeypatch.setattr(target, lambda g: pytest.fail("canonical_form called"))
+    monkeypatch.setattr(
+        "mismax.canon.canonical_form", lambda g: pytest.fail("canonical_form called")
+    )
     for t in (1, 3, n // 2):
         for side, build in (("mis", build_H), ("clique", build_turan)):
             graph = build(n, t)
@@ -718,9 +718,9 @@ def test_verify_counts_blocks_above_the_subset_tables_on_lanes(capsys, monkeypat
         calls.append(args[:2])
         return mis_lane_counts(*args, **kwargs)
 
-    monkeypatch.setattr("mismax.extremal.mis_lane_counts", lane_counts)
+    monkeypatch.setattr("mismax.counting.mis_lane_counts", lane_counts)
     for name in ("mis_size_profile", "maximal_clique_size_profile"):
-        monkeypatch.setattr(f"mismax.extremal.{name}", lambda g: pytest.fail("counted per graph"))
+        monkeypatch.setattr(f"mismax.counting.{name}", lambda g: pytest.fail("counted per graph"))
     verify_relabeled_extremal_graphs(capsys, monkeypatch, n)
     assert calls == [(n, 3)] * 6
 
@@ -738,7 +738,8 @@ def test_count_h15_on_lanes_and_h16_line_by_line(capsys, monkeypatch, csv):
     # has 324, which a lane would wrap, so order 16 must stay off the lanes
     calls = []
     monkeypatch.setattr(
-        "mismax.cli.mis_lane_counts", lambda *args: calls.append(args[0]) or mis_lane_counts(*args)
+        "mismax.counting.mis_lane_counts",
+        lambda *args: calls.append(args[0]) or mis_lane_counts(*args),
     )
     argv = ["count", "--csv"] if csv else ["count"]
     for n, count in ((15, 243), (16, 324)):
@@ -853,6 +854,7 @@ COUNT_NEVER_IMPORTED = {"mismax.canon", "mismax.extremal", "multiprocessing"}
         "bound 6 1..6",
         "extremal 7 3",
         "verify --n 3 --all-t",
+        "verify --input GRAPH --t 1",
         "verify --input GRAPH --t 2",
         "trace GRAPH --t 2",
     ],
@@ -869,7 +871,14 @@ def test_commands_import_only_what_they_run(tmp_path, command):
     )
     assert result.returncode == 0, result.stderr
     modules = set(loaded.read_text().split("\n"))
-    assert {"mismax.cli", "mismax.codec", "mismax.counting", "mismax.graph"} <= modules
+    ours = {name for name in modules if name.startswith("mismax.")}
+    if argv[:2] == ["verify", "--n"]:
+        # the census certifies the scan: no graph6 reader, counter or search
+        assert ours == {"mismax.cli", "mismax.graph", "mismax.extremal"}
+    assert {"mismax.cli", "mismax.graph"} <= ours
     assert ("mismax.extremal" in modules) == (argv[0] != "count")
     forbidden = NEVER_IMPORTED | (COUNT_NEVER_IMPORTED if argv[0] == "count" else set())
+    if argv[:2] == ["verify", "--input"]:
+        # K3 is H(3,1), which the plane test recognizes, and attains no f(3,2)
+        forbidden |= {"mismax.canon"}
     assert modules & forbidden == set()

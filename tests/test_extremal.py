@@ -3,7 +3,7 @@ import multiprocessing
 import random
 import tracemalloc
 from functools import partial
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given
@@ -27,12 +27,17 @@ from mismax import (
     verify_bound_exhaustive,
     verify_bound_stream,
 )
-from mismax import extremal
-from mismax.canon import CanonicalForm, _orbit_representatives
+from mismax import canon, counting, extremal
 from mismax.codec import Graph6Block, graph6_encode, read_graph6_blocks
 from mismax.counting import _LANE_MAX_N, maximal_clique_counts, mis_lane_counts
-from mismax.extremal import auto_split_vertex
-from mismax.graph import _rows_from_mask, from_triangle_mask, triangle_mask, triangle_pairs
+from mismax.extremal import _orbit_representatives, auto_split_vertex
+from mismax.graph import (
+    CanonicalForm,
+    _rows_from_mask,
+    from_triangle_mask,
+    triangle_mask,
+    triangle_pairs,
+)
 
 from conftest import (
     graphs,
@@ -178,7 +183,7 @@ def test_induction_split_names_failed_identity(monkeypatch, bad_call, identity):
         calls.append(n)
         return [0] * (n + 1) if len(calls) - 1 == bad_call else maximal_clique_counts(adj, n)
 
-    monkeypatch.setattr(extremal, "maximal_clique_counts", counts)
+    monkeypatch.setattr(counting, "maximal_clique_counts", counts)
     g = build_turan(7, 3)
     with pytest.raises(ValueError) as exc:
         induction_split(g, 3, 0)
@@ -312,6 +317,86 @@ def test_verify_rejects_a_dropped_representative(monkeypatch):
         verify_bound_exhaustive(6)
 
 
+def test_labeled_copies_count_the_relabelings_of_the_extremal_graphs():
+    # n!/|Aut H(n,t)| against the distinct relabelings of H(n,t) and T(n,t)
+    for n in range(1, 7):
+        for t in range(1, n + 1):
+            for build in (build_H, build_turan):
+                g = build(n, t)
+                relabeled = {triangle_mask(permute(g, perm)) for perm in permutations(range(n))}
+                assert extremal._labeled_copies(n, t) == len(relabeled), (n, t, build)
+    assert [extremal._labeled_copies(9, t) for t in range(1, 10)] == [
+        1, 126, 280, 1260, 945, 1260, 378, 36, 1
+    ]
+    assert [extremal._labeled_copies(10, t) for t in range(1, 11)] == [
+        1, 126, 2100, 6300, 945, 4725, 3150, 630, 45, 1
+    ]
+
+
+def test_census_counts_the_labeled_copies_of_the_extremal_graph(monkeypatch):
+    """The scan's census, orbit times attainer lanes summed over the blocks,
+    is n!/|Aut H(n,t)| for every 1 <= t <= n <= 8. The scan counts the
+    clique side, and T(n,t) is the complement of H(n,t), so the one census
+    certifies both sides: neither keys an attainer."""
+    for n in range(1, 9):
+        max_counts, census, masks, covered = extremal._scan_blocks(
+            n, _orbit_representatives(max(n - 2, 0))
+        )
+        assert covered == 1 << n * (n - 1) // 2 and masks == {}
+        for t in range(1, n + 1):
+            assert max_counts[t] == bound_f(n, t).f, (n, t)
+            assert census[t] == extremal._labeled_copies(n, t), (n, t)
+    monkeypatch.setattr(extremal, "_attainer_key", lambda *args: pytest.fail("keyed"))
+    for side in ("mis", "clique"):
+        for n in range(1, 8):
+            reports = verify_bound_exhaustive(n, side=side)
+            assert all(r.bound_holds and r.unique_attainer for r in reports), (n, side)
+
+
+def _patch_lane(monkeypatch, t, hh, lane, count):
+    """Set the count of size t in lane of the block hh to count."""
+    real = extremal._extension_counts
+
+    def patched(n, block):
+        counts = real(n, block)
+        if block == hh:
+            counts[t] = counts[t][:lane] + bytes([count]) + counts[t][lane + 1:]
+        return counts
+
+    monkeypatch.setattr(extremal, "_extension_counts", patched)
+
+
+def test_an_extra_attainer_fails_the_census_and_is_named(monkeypatch):
+    # lane 3 of the block of the empty G'' is the path 3-5-4, with no
+    # 3-clique and an induced P3: patched to f, it is an attainer class of
+    # its own, first in mask order, which the rescan names
+    n, t = 6, 3
+    _patch_lane(monkeypatch, t, 0, 3, bound_f(n, t).f)
+    path = from_triangle_mask(n, 3)
+    assert path.edges() == [(3, 5), (4, 5)]
+    for side, extra in (("mis", complement(path)), ("clique", path)):
+        (report,) = verify_bound_exhaustive(n, ts=[t], side=side)
+        assert report.bound_holds and not report.unique_attainer
+        assert report.attainers == (canonical_form(extra), canonical_form(_expected(n, t, side)))
+    # the other t pass the census and keep their reports
+    assert verify_bound_exhaustive(n, ts=[2], side="mis")[0].unique_attainer
+
+
+def test_a_lost_attainer_contradicts_the_census(monkeypatch):
+    # one attainer lane lowered to f - 1: the rescan finds the extremal graph
+    # alone, but fewer labeled copies than it has
+    n, t = 6, 3
+    f = bound_f(n, t).f
+    hh, lane = next(
+        (hh, extremal._extension_counts(n, hh)[t].find(f))
+        for hh, _ in _orbit_representatives(n - 2)
+        if f in extremal._extension_counts(n, hh)[t]
+    )
+    _patch_lane(monkeypatch, t, hh, lane, f - 1)
+    with pytest.raises(ValueError, match="labeled attainers at n=6, t=3"):
+        verify_bound_exhaustive(n, ts=[t])
+
+
 @pytest.mark.parametrize("lowered", [False, True])
 @pytest.mark.parametrize("side", ["mis", "clique"])
 def test_verify_matches_a_scan_of_every_block(monkeypatch, side, lowered):
@@ -326,10 +411,10 @@ def test_verify_matches_a_scan_of_every_block(monkeypatch, side, lowered):
             extremal, "bound_f", lambda n, t: real(n, t)._replace(f=max(real(n, t).f - 1, 1))
         )
     for n in range(1, 8):
-        blocks = 1 << (n - 2) * (n - 3) // 2 if n > 1 else 1
-        every = extremal._scan_blocks(n, ((hh, 1) for hh in range(blocks)))
+        blocks = [(hh, 1) for hh in range(1 << (n - 2) * (n - 3) // 2 if n > 1 else 1)]
+        every = extremal._scan_blocks(n, blocks)
         ts = range(1, n + 1)
-        expected = extremal._exhaustive_reports(n, ts, side, [every])
+        expected = extremal._exhaustive_reports(n, ts, side, blocks, [every])
         assert verify_bound_exhaustive(n, side=side) == expected, n
 
 
@@ -627,21 +712,25 @@ def test_canonical_form_runs_only_on_unrecognized_attainers(monkeypatch):
         formed.append(mask)
         return attainer_form(n, mask)
 
-    monkeypatch.setattr(extremal, "canonical_form", spy)
+    monkeypatch.setattr(canon, "canonical_form", spy)
     monkeypatch.setattr(extremal, "_attainer_form", form_spy)
     for run in _verifier_runs():
         calls.clear()
         reports = run()
         assert calls == [] and formed == []
         assert all(r.unique_attainer for r in reports)
-    # unrecognized, each keyed attainer (one labeled graph of a report's
-    # class, once per block) gets one search, and the expected graph none
+    # unrecognized, each keyed attainer of a stream (one labeled graph of a
+    # report's class, once per block) gets one search, and the expected graph
+    # none; the exhaustive census certifies its reports and keys no attainer
     _recognize_nothing(monkeypatch)
     for run in _verifier_runs():
         calls.clear()
         formed.clear()
         reports = run()
-        assert len(calls) == len(formed) >= len(reports)
+        if reports[0].coverage.startswith("exhaustive"):
+            assert calls == formed == []
+        else:
+            assert len(calls) == len(formed) >= len(reports)
         assert all(r.unique_attainer for r in reports)
 
 
