@@ -22,14 +22,14 @@ _EXPORTS = {
     "oracle_mis_size_profile": "counting",
     "BoundDecomposition": "extremal",
     "ExtremalReport": "extremal",
-    "SplitReport": "extremal",
     "bound_f": "extremal",
     "build_H": "extremal",
     "build_turan": "extremal",
-    "induction_split": "extremal",
-    "proof_subcase": "extremal",
     "verify_bound_exhaustive": "extremal",
     "verify_bound_stream": "extremal",
+    "SplitReport": "proof",
+    "induction_split": "proof",
+    "proof_subcase": "proof",
     "Graph": "graph",
     "complement": "graph",
     "complete_graph": "graph",

@@ -12,9 +12,10 @@ import sys
 import time
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
+from itertools import islice
 
-# each command imports the modules it runs: verify --n loads extremal alone,
-# count loads codec and counting
+# each command imports the modules it runs: verify --n loads extremal and
+# scan, count loads codec and counting, trace loads proof
 from .graph import Graph, _graph6
 
 
@@ -204,11 +205,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    from .extremal import AUTO, induction_split, proof_subcase
+    from .proof import AUTO, induction_split, proof_subcase
 
-    graphs = list(_read_graphs(args.input, args.format))
+    # a second graph is enough to refuse the input: the rest is not read
+    graphs = list(islice(_read_graphs(args.input, args.format), 2))
     if len(graphs) != 1:
-        raise SystemExit2(f"trace expects exactly one graph, got {len(graphs)}")
+        got = "more than one" if graphs else "0"
+        raise SystemExit2(f"trace expects exactly one graph, got {got}")
     g = graphs[0]
     v: int | str = AUTO if args.v == "auto" else int(args.v)
     report = induction_split(g, args.t, v)

@@ -1,51 +1,25 @@
-"""Extremal bound f(n,t) = q^(t-r) (q+1)^r, extremal constructions,
-proof-trace diagnostics, and the exhaustive bound verifier.
-
-The exhaustive scan rests on the proof's split of the maximal cliques of G
-around a vertex k with neighbourhood N, where G' = G - k:
-
-- A, the maximal cliques containing k, are the sets {k} + D for the cliques
-  D of G' with D inside N and no common neighbour in N; these D are the
-  maximal cliques of G[N].
-- B, the maximal cliques avoiding k, are the maximal cliques C of G' that
-  are not inside N.
-
-The scan applies the split to the last two vertices j = n-2 and k = n-1,
-with G'' = G - {j, k} and a the neighbourhood of j in G''. The cliques of
-G' = G - k are the cliques D of G'' and the cliques D + j for D inside a;
-cn(D) in G' is cn(D) in G'' plus j when D is inside a, and
-cn(D + j) = cn(D) & a. So one clique enumeration of G'' gives the counts of
-all 2^(2n-3) graphs that extend G'': for each a, only the cliques D inside a
-change their terms.
+"""Extremal bound f(n,t) = q^(t-r) (q+1)^r, the extremal constructions,
+and the bound verifiers: over every labeled graph on n vertices, by the
+scan in mismax.scan, and over a stream of graphs.
 """
 
 from __future__ import annotations
 
 import os
 from collections import namedtuple
-from collections.abc import Container, Hashable, Iterable, Iterator, Sequence
-from functools import lru_cache
-from itertools import accumulate
-from operator import add, mul
+from collections.abc import Hashable, Iterable, Sequence
 
-# the exhaustive scan runs on graph alone; the other layers load where used
+# the other layers, the scan among them, load in the functions that use them
 from .graph import (
     CANON_MAX_N,
     MAX_VERTICES,
-    _bit_pairs,
-    _rows_from_mask,
-    _submasks,
     CanonicalForm,
     Graph,
     complete_graph,
-    degree,
-    delete_vertex,
     disjoint_union,
     empty_graph,
     from_edges,
     from_triangle_mask,
-    induced_subgraph,
-    min_degree,
     triangle_mask,
 )
 
@@ -54,8 +28,6 @@ _JOBS_PER_WORKER = 4
 # fewer blocks scan faster in-process than a pool starts: on a 2-core VM
 # all 156 of n = 8 did, and the pool broke even at 100-300 blocks of n = 9
 _POOL_MIN_BLOCKS = 400
-
-AUTO = "auto"
 
 
 class BoundDecomposition(namedtuple("BoundDecomposition", "n t q r f")):
@@ -109,83 +81,6 @@ def build_turan(n: int, k: int) -> Graph:
         if part_of[u] != part_of[v]
     ]
     return from_edges(n, edges)
-
-
-class SplitReport(namedtuple("SplitReport", "v t a_count b_count nbhd_count gminus_count")):
-    """Partition of t-maximal cliques by containment of a chosen vertex v:
-    a_count t-maximal cliques contain v and b_count avoid it; nbhd_count
-    (t-1)-maximal cliques of G[N(v)] and gminus_count t-maximal cliques of
-    G - v bound them."""
-
-    __slots__ = ()
-
-
-def auto_split_vertex(g: Graph) -> int:
-    """Lowest-index minimum-degree vertex, the proof's choice."""
-    if g.n == 0:
-        raise ValueError("graph has no vertices")
-    d = min_degree(g)
-    return next(v for v in range(g.n) if degree(g, v) == d)
-
-
-def induction_split(g: Graph, t: int, v: int | str = AUTO) -> SplitReport:
-    """Count the A/B split of t-maximal cliques around vertex v by direct enumeration."""
-    from .codec import graph6_encode
-    from .counting import _expand, maximal_clique_counts
-
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    if v == AUTO:
-        v = auto_split_vertex(g)
-    if not isinstance(v, int) or not 0 <= v < g.n:
-        raise ValueError(f"vertex {v!r} out of range")
-
-    vbit = 1 << v
-    a_count = 0
-    b_count = 0
-
-    def visit(rmask: int, rsize: int) -> None:
-        nonlocal a_count, b_count
-        if rsize != t:
-            return
-        if rmask & vbit:
-            a_count += 1
-        else:
-            b_count += 1
-
-    _expand(g.adj, visit, 0, 0, g.full_set, 0)
-
-    nbhd = induced_subgraph(g, g.adj[v])
-    nbhd_counts = maximal_clique_counts(nbhd.adj, nbhd.n)
-    nbhd_count = nbhd_counts[t - 1] if t - 1 <= nbhd.n else 0
-
-    gminus = delete_vertex(g, v)
-    gminus_counts = maximal_clique_counts(gminus.adj, gminus.n)
-    gminus_count = gminus_counts[t] if t <= gminus.n else 0
-
-    total = maximal_clique_counts(g.adj, g.n)[t] if t <= g.n else 0
-    for holds, identity in (
-        (a_count == nbhd_count, f"a_count == nbhd_count ({a_count} vs {nbhd_count})"),
-        (b_count <= gminus_count, f"b_count <= gminus_count ({b_count} vs {gminus_count})"),
-        (a_count + b_count == total, f"a + b == total ({a_count} + {b_count} vs {total})"),
-    ):
-        if not holds:
-            raise ValueError(
-                f"split identity {identity} fails on graph {graph6_encode(g)} at v={v}, t={t}"
-            )
-    return SplitReport(v, t, a_count, b_count, nbhd_count, gminus_count)
-
-
-def proof_subcase(g: Graph, t: int) -> str:
-    """Which proof subcase (1a/1b/2a/2b) the pair (G, t) falls into."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    q, r = divmod(g.n, t)
-    d = min_degree(g)
-    if r > 0:
-        return "1a" if d >= g.n - q else "1b"
-    return "2a" if d >= g.n - q + 1 else "2b"
-
 
 def _check_exhaustive_order(n: int) -> None:
     if not 1 <= n <= EXHAUSTIVE_MAX_N:
@@ -336,157 +231,6 @@ def _report(
     )
 
 
-@lru_cache(maxsize=EXHAUSTIVE_MAX_N)
-def _frame_pairs(m: int) -> tuple[tuple[int, int, int, int], ...]:
-    """graph._bit_pairs(m) relabeled v -> m - v: the pairs of G'' in the
-    frame of the exhaustive scan, where vertex 0 is left free for j."""
-    return tuple((m - i, m - j, 1 << m - i, 1 << m - j) for i, j, _, _ in _bit_pairs(m))
-
-
-def _permutation_bit_tables(n: int, perm: list[int], width: int) -> list[list[int]]:
-    """Two lookup tables, for mask bits below width and for the rest, whose
-    entries OR to a triangle mask with a vertex permutation applied."""
-    pairs = [(i, j) for i, j, _, _ in _bit_pairs(n)]
-    # dest[b]: where the permutation sends the pair stored at mask bit b
-    dest = [pairs.index(tuple(sorted((perm[i], perm[j])))) for i, j in pairs]
-    tables = []
-    for first, stop in ((0, width), (width, len(pairs))):
-        tab = [0] * (1 << (stop - first))
-        for val in range(1, len(tab)):
-            low = val & -val
-            tab[val] = tab[val ^ low] | 1 << dest[first + low.bit_length() - 1]
-        tables.append(tab)
-    return tables
-
-
-def _orbit_representatives(m: int) -> Iterator[tuple[int, int]]:
-    """Yield (mask, orbit size) for each orbit of S_m on the triangle masks
-    of order m (m <= 7), by a walk over all 2^(m(m-1)/2) masks.
-
-    The walk starts a new orbit at each mask not yet visited, in ascending
-    order, so the yielded mask is the smallest in its orbit, which is its
-    canonical_form key. The orbit sizes sum to 2^(m(m-1)/2).
-    """
-    if m > 7:
-        raise ValueError("exhaustive orbit walk limited to m <= 7")
-    if m <= 1:
-        yield 0, 1
-        return
-    nbits = m * (m - 1) // 2
-    total = 1 << nbits
-    width = nbits // 2
-    low_bits = (1 << width) - 1
-    swap = [1, 0, *range(2, m)]
-    cycle = [*range(1, m), 0]
-    # a transposition and an m-cycle generate S_m
-    (swap_low, swap_high), (cycle_low, cycle_high) = (
-        _permutation_bit_tables(m, p, width) for p in (swap, cycle)
-    )
-    visited = bytearray(total)
-    for start in range(total):
-        if visited[start]:
-            continue
-        visited[start] = 1
-        size = 1
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            low, high = x & low_bits, x >> width
-            for y in (swap_low[low] | swap_high[high], cycle_low[low] | cycle_high[high]):
-                if not visited[y]:
-                    visited[y] = 1
-                    size += 1
-                    stack.append(y)
-        yield start, size
-
-
-def _extension_counts(n: int, hh: int) -> list[bytes]:
-    """Per-size maximal-clique counts of the 2^(2n-3) labeled n-vertex graphs
-    G with triangle mask hh << (2n-3) | aa << (n-1) | nb: byte aa << (n-1) | nb
-    of entry s counts size s, so the bytes run in mask order.
-
-    The frame relabels G'' = G - {j, k}, for j = n-2 and k = n-1, by
-    v -> n-2-v (_frame_pairs) and gives j the vertex 0, with an empty row.
-    The low n-1 bits nb of the mask hold the pairs of k, bit b the pair
-    (n-2-b, k), and the next n-2 bits aa those of j, bit b the pair
-    (n-3-b, j); in the frame, nb is the neighbourhood of k and a = aa << 1
-    that of j, both vertex sets of G' = G - k.
-
-    By the split in the module docstring, a clique D' of G' with common
-    neighbourhood cn(D') in G' counts {k} + D' on each nb with D' inside nb
-    and nb disjoint from cn(D'), and, if cn(D') is empty, D' itself on each
-    nb that does not hold D'. The cliques of G' are
-    the cliques D of G'' and, for D inside a, the cliques D + j, with
-    cn(D + j) = cn(D) & a. So one depth-first enumeration of the cliques D of
-    G'' (empty D included), with cn(D) taken in G'', fills
-    - base, where every D counts as if it were not inside a, and
-    - delta[aa], for each a containing D: cn(D) gains j, so {k} + D loses the
-      nb that hold j and D stops being maximal, and D + j is counted with
-      c = cn(D) & a.
-
-    Entry s is the 2^(n-2) segments base[s] + delta[aa][s] of 2^(n-1) bytes,
-    one byte per nb, in ascending aa. The sums are exact big ints, so a
-    partial sum may be negative or borrow across bytes; every final byte is
-    one graph's count, at most 3^(n/3) (Moon-Moser), which fits a byte up to
-    the lane kernel's order limit counting._LANE_MAX_N; a test keeps
-    EXHAUSTIVE_MAX_N at or below it, so each segment fits its bytes.
-    """
-    if n < 2:
-        return [b"\x00", b"\x01"]  # K1 has no pair to split off
-    m = n - 1
-    full = (1 << m) - 1
-    rows = _rows_from_mask(m, hh, _frame_pairs(n - 2))
-    spread = _submasks(m, 8)
-    everywhere = spread[full]
-    base = [0] * (n + 1)
-    delta = [[0] * (n + 1) for _ in range(1 << (n - 2))]
-    # (D, |D|, cn(D) in G'', the vertices of cn(D) above every vertex of D)
-    stack = [(0, 0, full ^ 1, full ^ 1)]
-    while stack:
-        d, size, cn, up = stack.pop()
-        supersets = spread[full & ~(d | cn)] << 8 * d
-        base[size + 1] += supersets
-        maximal = 0 if cn else everywhere - supersets
-        base[size] += maximal
-        dj = d | 1
-        shift = 8 * dj
-        lost = spread[full & ~(dj | cn)] << shift  # {k} + D on the nb holding j
-        joined = everywhere - (spread[full & ~dj] << shift)  # D + j maximal
-        rest = full & ~(dj | cn)
-        c = cn
-        while True:  # each c inside cn(D), then each a = D | c | r, r inside rest
-            grown = spread[full & ~(dj | c)] << shift  # {k} + D + j
-            changed = -lost if c else joined - lost
-            r = rest
-            while True:
-                acc = delta[(d | c | r) >> 1]
-                acc[size + 2] += grown
-                acc[size + 1] += changed
-                if maximal:
-                    acc[size] -= maximal
-                if not r:
-                    break
-                r = (r - 1) & rest
-            if not c:
-                break
-            c = (c - 1) & cn
-        while up:
-            b = up & -up
-            up ^= b
-            row = rows[b.bit_length() - 1]
-            stack.append((d | b, size + 1, cn & row, up & row))
-    segment = 1 << m
-    columns = []
-    for s, total in enumerate(base):
-        # the segments of an a whose cliques leave size s alone share bytes
-        unchanged = total.to_bytes(segment, "little")
-        columns.append(b"".join(
-            (total + acc[s]).to_bytes(segment, "little") if acc[s] else unchanged
-            for acc in delta
-        ))
-    return columns
-
-
 def _lane_reduce(column: bytes, most: int, f: int) -> tuple[int, list[int]]:
     """The larger of most and the largest count in the column of per-lane
     counts, and the lanes whose count is f, in ascending order; none if
@@ -501,90 +245,6 @@ def _lane_reduce(column: bytes, most: int, f: int) -> tuple[int, list[int]]:
             lanes.append(lane)
             lane = column.find(f, lane + 1)
     return most, lanes
-
-
-def _labeled_copies(n: int, t: int) -> int:
-    """The labeled copies of H(n,t), and of its complement T(n,t):
-    n!/|Aut H(n,t)|, with |Aut H(n,t)| = q!^(t-r) (t-r)! (q+1)!^r r!."""
-    q, r = divmod(n, t)
-    fact = list(accumulate(range(1, n + 2), mul, initial=1))
-    return fact[n] // (fact[q] ** (t - r) * fact[t - r] * fact[q + 1] ** r * fact[r])
-
-
-def _scan_blocks(
-    n: int, blocks: Iterable[tuple[int, int]], collect: Container[int] = ()
-) -> tuple[list[int], list[int], dict[int, list[int]], int]:
-    """Worker: count the maximal cliques of the labeled n-vertex graphs whose
-    first n-2 vertices have triangle mask hh, for each (hh, orbit) of blocks,
-    2^(2n-3) graphs per mask (the one graph for n = 1).
-
-    A block stands for the orbit blocks whose G'' is a relabeling of its
-    own: their lanes hold its counts permuted, so they share its per-t
-    maxima and number of attainers, and if hh is the smallest mask of its
-    orbit, the block holds the smallest labeled mask of every class the
-    orbit's blocks contain.
-
-    Returns (per-t maximum counts, per-t census: orbit * attainer lanes
-    summed over the blocks, {t: masks attaining bound_f(n,t) in block
-    order} for each t of collect, graphs covered: orbit * 2^(2n-3) a block).
-    """
-    bounds = [0] + [bound_f(n, t).f for t in range(1, n + 1)]
-    max_counts = [0] * (n + 1)
-    census = [0] * (n + 1)
-    masks: dict[int, list[int]] = {t: [] for t in collect}
-    covered = 0
-    for hh, orbit in blocks:
-        counts = _extension_counts(n, hh)
-        lanes = len(counts[0])
-        covered += orbit * lanes
-        base = hh * lanes  # hh << (2n-3)
-        for t in range(1, n + 1):
-            max_counts[t], found = _lane_reduce(counts[t], max_counts[t], bounds[t])
-            census[t] += orbit * len(found)
-            if t in masks:
-                masks[t].extend(base | lane for lane in found)
-    return max_counts, census, masks, covered
-
-
-def _exhaustive_reports(
-    n: int,
-    ts: Sequence[int],
-    side: str,
-    blocks: Sequence[tuple[int, int]],
-    parts: Iterable[tuple[list[int], list[int], dict[int, list[int]], int]],
-) -> list[ExtremalReport]:
-    """Merge the _scan_blocks results of one scan of blocks into one report
-    per t; raises ValueError unless they cover exactly the 2^C(n,2) labeled
-    graphs, or if the census of a t fails but its rescanned attainers are
-    the extremal graph alone. A t fails if a count passes f or its census
-    is not _labeled_copies(n, t)."""
-    total = 1 << (n * (n - 1) // 2)
-    max_counts, census, covered = [0] * (n + 1), [0] * (n + 1), 0
-    for mc, cs, _, graphs in parts:
-        max_counts = list(map(max, max_counts, mc))
-        census = list(map(add, census, cs))
-        covered += graphs
-    if covered != total:
-        raise ValueError(
-            f"exhaustive scan covered {covered} of the {total} labeled graphs on {n} vertices"
-        )
-    copies = {t: _labeled_copies(n, t) for t in ts}
-    failed = [t for t in ts if max_counts[t] > bound_f(n, t).f or census[t] != copies[t]]
-    masks = _scan_blocks(n, blocks, failed)[2] if failed else {}
-    # the masks are clique-side attainers: the MIS attainer is the complement
-    flip = total - 1 if side == "mis" else 0  # XOR with all edges complements
-    reports = []
-    for t in ts:
-        keys = [_EXTREMAL] if t not in masks else (
-            _attainer_key(n, mask ^ flip, side == "clique") for mask in masks[t])
-        report = _report(n, t, side, max_counts[t], keys, covered, f"exhaustive-labeled({n})")
-        if report.unique_attainer and census[t] != copies[t]:
-            raise ValueError(
-                f"exhaustive scan found {census[t]} labeled attainers at n={n}, t={t}, "
-                f"all of them the extremal graph, which has {copies[t]} labeled copies"
-            )
-        reports.append(report)
-    return reports
 
 
 def verify_bound_exhaustive(
@@ -623,6 +283,8 @@ def verify_bound_exhaustive(
     for t in ts:
         if not 1 <= t <= n:
             raise ValueError(f"t={t} outside 1..{n}")
+    from .scan import _exhaustive_reports, _orbit_representatives, _scan_blocks
+
     # one block per orbit of G'' on the first n-2 vertices; n = 1 is one
     # block of one graph
     blocks = list(_orbit_representatives(max(n - 2, 0)))

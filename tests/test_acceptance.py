@@ -26,7 +26,7 @@ from mismax import (
     verify_bound_exhaustive,
 )
 from mismax.counting import maximal_clique_counts
-from mismax.extremal import _orbit_representatives
+from mismax.scan import _orbit_representatives
 from mismax.graph import Graph
 
 from conftest import moon_moser_total, random_graph

@@ -16,7 +16,8 @@ from mismax import (
     empty_graph,
     from_edges,
 )
-from mismax.extremal import _orbit_representatives, build_turan
+from mismax.extremal import build_turan
+from mismax.scan import _orbit_representatives
 from mismax.graph import from_triangle_mask, triangle_mask
 
 from conftest import cycle_graph, path_graph, permute, random_graph

@@ -594,6 +594,13 @@ def test_trace_bad_vertex(capsys, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("stdin,got", [("", "0"), ("Bw\nBw\nxx\n", "more than one")])
+def test_trace_reads_at_most_two_graphs(capsys, monkeypatch, stdin, got):
+    # a second graph refuses the input: the malformed third line is not read
+    code, out, err = run(capsys, ["trace", "--t", "2"], stdin=stdin, monkeypatch=monkeypatch)
+    assert (code, out, err) == (2, "", f"error: trace expects exactly one graph, got {got}\n")
+
+
 def test_output_determinism(capsys, monkeypatch):
     outs = []
     for _ in range(2):
@@ -841,10 +848,22 @@ with open(sys.argv[2], "w") as fh:
 sys.exit(code)
 """
 
-# no command needs these; dataclasses alone pulls in inspect, ast and dis
-NEVER_IMPORTED = {"dataclasses", "inspect", "typing"}
-# count needs neither the verifiers nor a process pool
-COUNT_NEVER_IMPORTED = {"mismax.canon", "mismax.extremal", "multiprocessing"}
+# no command needs these; dataclasses alone pulls in inspect, ast and dis,
+# and no command below starts a process pool
+NEVER_IMPORTED = {"dataclasses", "inspect", "typing", "multiprocessing"}
+# the mismax modules each command loads, by its first word, or two for
+# verify: the census certifies verify --n with no graph6 reader, counter or
+# search; verify --input loads no scan, and no canon, since K3 is H(3,1),
+# which the plane test recognizes, and attains no f(3,2); trace loads no
+# verifier
+LOADED = {
+    "count": {"cli", "graph", "codec", "counting"},
+    "bound": {"cli", "graph", "extremal"},
+    "extremal": {"cli", "graph", "codec", "counting", "extremal"},
+    "verify --n": {"cli", "graph", "extremal", "scan"},
+    "verify --input": {"cli", "graph", "codec", "counting", "extremal"},
+    "trace": {"cli", "graph", "codec", "counting", "proof"},
+}
 
 
 @pytest.mark.parametrize(
@@ -872,13 +891,6 @@ def test_commands_import_only_what_they_run(tmp_path, command):
     assert result.returncode == 0, result.stderr
     modules = set(loaded.read_text().split("\n"))
     ours = {name for name in modules if name.startswith("mismax.")}
-    if argv[:2] == ["verify", "--n"]:
-        # the census certifies the scan: no graph6 reader, counter or search
-        assert ours == {"mismax.cli", "mismax.graph", "mismax.extremal"}
-    assert {"mismax.cli", "mismax.graph"} <= ours
-    assert ("mismax.extremal" in modules) == (argv[0] != "count")
-    forbidden = NEVER_IMPORTED | (COUNT_NEVER_IMPORTED if argv[0] == "count" else set())
-    if argv[:2] == ["verify", "--input"]:
-        # K3 is H(3,1), which the plane test recognizes, and attains no f(3,2)
-        forbidden |= {"mismax.canon"}
-    assert modules & forbidden == set()
+    key = " ".join(argv[:2]) if argv[0] == "verify" else argv[0]
+    assert ours == {f"mismax.{name}" for name in LOADED[key]}
+    assert modules & NEVER_IMPORTED == set()

@@ -27,10 +27,11 @@ from mismax import (
     verify_bound_exhaustive,
     verify_bound_stream,
 )
-from mismax import canon, counting, extremal
+from mismax import canon, counting, extremal, scan
 from mismax.codec import Graph6Block, graph6_encode, read_graph6_blocks
 from mismax.counting import _LANE_MAX_N, maximal_clique_counts, mis_lane_counts
-from mismax.extremal import _orbit_representatives, auto_split_vertex
+from mismax.proof import auto_split_vertex
+from mismax.scan import _orbit_representatives
 from mismax.graph import (
     CanonicalForm,
     _rows_from_mask,
@@ -310,7 +311,7 @@ def test_verify_rejects_a_dropped_representative(monkeypatch):
     def all_but_the_first(m):
         return list(_orbit_representatives(m))[1:]
 
-    monkeypatch.setattr(extremal, "_orbit_representatives", all_but_the_first)
+    monkeypatch.setattr(scan, "_orbit_representatives", all_but_the_first)
     # the first representative is the empty G'', whose orbit is itself:
     # 2^9 graphs of 2^15
     with pytest.raises(ValueError, match="covered 32256 of the 32768 labeled graphs"):
@@ -324,11 +325,11 @@ def test_labeled_copies_count_the_relabelings_of_the_extremal_graphs():
             for build in (build_H, build_turan):
                 g = build(n, t)
                 relabeled = {triangle_mask(permute(g, perm)) for perm in permutations(range(n))}
-                assert extremal._labeled_copies(n, t) == len(relabeled), (n, t, build)
-    assert [extremal._labeled_copies(9, t) for t in range(1, 10)] == [
+                assert scan._labeled_copies(n, t) == len(relabeled), (n, t, build)
+    assert [scan._labeled_copies(9, t) for t in range(1, 10)] == [
         1, 126, 280, 1260, 945, 1260, 378, 36, 1
     ]
-    assert [extremal._labeled_copies(10, t) for t in range(1, 11)] == [
+    assert [scan._labeled_copies(10, t) for t in range(1, 11)] == [
         1, 126, 2100, 6300, 945, 4725, 3150, 630, 45, 1
     ]
 
@@ -339,14 +340,14 @@ def test_census_counts_the_labeled_copies_of_the_extremal_graph(monkeypatch):
     clique side, and T(n,t) is the complement of H(n,t), so the one census
     certifies both sides: neither keys an attainer."""
     for n in range(1, 9):
-        max_counts, census, masks, covered = extremal._scan_blocks(
+        max_counts, census, masks, covered = scan._scan_blocks(
             n, _orbit_representatives(max(n - 2, 0))
         )
         assert covered == 1 << n * (n - 1) // 2 and masks == {}
         for t in range(1, n + 1):
             assert max_counts[t] == bound_f(n, t).f, (n, t)
-            assert census[t] == extremal._labeled_copies(n, t), (n, t)
-    monkeypatch.setattr(extremal, "_attainer_key", lambda *args: pytest.fail("keyed"))
+            assert census[t] == scan._labeled_copies(n, t), (n, t)
+    monkeypatch.setattr(scan, "_attainer_key", lambda *args: pytest.fail("keyed"))
     for side in ("mis", "clique"):
         for n in range(1, 8):
             reports = verify_bound_exhaustive(n, side=side)
@@ -355,7 +356,7 @@ def test_census_counts_the_labeled_copies_of_the_extremal_graph(monkeypatch):
 
 def _patch_lane(monkeypatch, t, hh, lane, count):
     """Set the count of size t in lane of the block hh to count."""
-    real = extremal._extension_counts
+    real = scan._extension_counts
 
     def patched(n, block):
         counts = real(n, block)
@@ -363,7 +364,7 @@ def _patch_lane(monkeypatch, t, hh, lane, count):
             counts[t] = counts[t][:lane] + bytes([count]) + counts[t][lane + 1:]
         return counts
 
-    monkeypatch.setattr(extremal, "_extension_counts", patched)
+    monkeypatch.setattr(scan, "_extension_counts", patched)
 
 
 def test_an_extra_attainer_fails_the_census_and_is_named(monkeypatch):
@@ -388,9 +389,9 @@ def test_a_lost_attainer_contradicts_the_census(monkeypatch):
     n, t = 6, 3
     f = bound_f(n, t).f
     hh, lane = next(
-        (hh, extremal._extension_counts(n, hh)[t].find(f))
+        (hh, scan._extension_counts(n, hh)[t].find(f))
         for hh, _ in _orbit_representatives(n - 2)
-        if f in extremal._extension_counts(n, hh)[t]
+        if f in scan._extension_counts(n, hh)[t]
     )
     _patch_lane(monkeypatch, t, hh, lane, f - 1)
     with pytest.raises(ValueError, match="labeled attainers at n=6, t=3"):
@@ -407,21 +408,22 @@ def test_verify_matches_a_scan_of_every_block(monkeypatch, side, lowered):
         # f - 1 is attained by up to 5 classes per t at n <= 7, so their
         # order is compared too; f itself has one attainer class throughout
         real = extremal.bound_f
-        monkeypatch.setattr(
-            extremal, "bound_f", lambda n, t: real(n, t)._replace(f=max(real(n, t).f - 1, 1))
-        )
+        for module in (extremal, scan):  # the scan and the report each read f
+            monkeypatch.setattr(
+                module, "bound_f", lambda n, t: real(n, t)._replace(f=max(real(n, t).f - 1, 1))
+            )
     for n in range(1, 8):
         blocks = [(hh, 1) for hh in range(1 << (n - 2) * (n - 3) // 2 if n > 1 else 1)]
-        every = extremal._scan_blocks(n, blocks)
+        every = scan._scan_blocks(n, blocks)
         ts = range(1, n + 1)
-        expected = extremal._exhaustive_reports(n, ts, side, blocks, [every])
+        expected = scan._exhaustive_reports(n, ts, side, blocks, [every])
         assert verify_bound_exhaustive(n, side=side) == expected, n
 
 
 def _check_block(n, hh):
     """The block's counts equal a per-graph count of each of its graphs:
     byte aa << (n-1) | nb is the graph with mask hh << (2n-3) | aa << (n-1) | nb."""
-    counts = extremal._extension_counts(n, hh)
+    counts = scan._extension_counts(n, hh)
     lanes = 1 << (2 * n - 3) if n > 1 else 1
     assert len(counts) == n + 1
     assert all(len(column) == lanes for column in counts)
@@ -439,7 +441,7 @@ def test_scan_frame_relabels_g2_every_mask(n):
         for u, v in from_triangle_mask(n - 2, hh).edges():
             expected[n - 2 - u] |= 1 << n - 2 - v
             expected[n - 2 - v] |= 1 << n - 2 - u
-        assert _rows_from_mask(n - 1, hh, extremal._frame_pairs(n - 2)) == tuple(expected), hh
+        assert _rows_from_mask(n - 1, hh, scan._frame_pairs(n - 2)) == tuple(expected), hh
 
 
 def test_extension_counts_match_bk_every_graph_up_to_6():
@@ -477,7 +479,7 @@ def _block_edge_planes(n, hh):
 def _check_whole_block(n, hh):
     planes = _block_edge_planes(n, hh)
     lane_counts = mis_lane_counts(n, 1 << (2 * n - 3), planes, complement=False)
-    assert extremal._extension_counts(n, hh) == lane_counts, (n, hh)
+    assert scan._extension_counts(n, hh) == lane_counts, (n, hh)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
