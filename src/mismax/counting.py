@@ -161,8 +161,6 @@ def mis_lane_counts(
     """
     if n > _LANE_MAX_N:
         raise ValueError(f"lane counts need n <= {_LANE_MAX_N}, got n={n}")
-    if not lanes:
-        return [b""] * (n + 1)
     everywhere = (1 << lanes) - 1
     flip = everywhere if complement else 0
     nonedge = [[0] * n for _ in range(n)]

@@ -269,10 +269,10 @@ def verify_bound_exhaustive(
     Each t is certified by two numbers: its largest count, and its census,
     the labeled graphs attaining f. Every labeled copy of the extremal graph
     attains f, so it is the only attainer exactly when no count passes f
-    and the census is n!/|Aut H(n,t)|; then no attainer mask is kept. A t
-    that fails is scanned again for its masks, and the report names their
-    classes in the order of their smallest labeled mask, as a scan of every
-    block would.
+    and the census is n!/|Aut H(n,t)|; then its attainer masks are not
+    keyed. A t that fails is keyed from the masks the same pass kept, and
+    the report names their classes in the order of their smallest labeled
+    mask, as a scan of every block would.
     """
     _check_exhaustive_order(n)
     if side not in ("mis", "clique"):
@@ -301,7 +301,7 @@ def verify_bound_exhaustive(
             parts = pool.starmap(_scan_blocks, jobs)
     else:
         parts = [_scan_blocks(n, blocks)]
-    return _exhaustive_reports(n, ts, side, blocks, parts)
+    return _exhaustive_reports(n, ts, side, parts)
 
 
 def verify_bound_stream(

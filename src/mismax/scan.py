@@ -21,7 +21,7 @@ change their terms.
 
 from __future__ import annotations
 
-from collections.abc import Container, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import accumulate
 from operator import add, mul
@@ -198,8 +198,8 @@ def _labeled_copies(n: int, t: int) -> int:
 
 
 def _scan_blocks(
-    n: int, blocks: Iterable[tuple[int, int]], collect: Container[int] = ()
-) -> tuple[list[int], list[int], dict[int, list[int]], int]:
+    n: int, blocks: Iterable[tuple[int, int]]
+) -> tuple[list[int], list[int], list[list[int]], int]:
     """Worker: count the maximal cliques of the labeled n-vertex graphs whose
     first n-2 vertices have triangle mask hh, for each (hh, orbit) of blocks,
     2^(2n-3) graphs per mask (the one graph for n = 1).
@@ -210,14 +210,15 @@ def _scan_blocks(
     orbit, the block holds the smallest labeled mask of every class the
     orbit's blocks contain.
 
-    Returns (per-t maximum counts, per-t census: orbit * attainer lanes
-    summed over the blocks, {t: masks attaining bound_f(n,t) in block
-    order} for each t of collect, graphs covered: orbit * 2^(2n-3) a block).
+    Returns, indexed by t: the maximum counts; the census, orbit * attainer
+    lanes summed over the blocks; and the masks attaining bound_f(n,t), in
+    block order, one per attainer lane, each standing for its orbit. Last,
+    the graphs covered: orbit * 2^(2n-3) a block.
     """
     bounds = [0] + [bound_f(n, t).f for t in range(1, n + 1)]
     max_counts = [0] * (n + 1)
     census = [0] * (n + 1)
-    masks: dict[int, list[int]] = {t: [] for t in collect}
+    masks: list[list[int]] = [[] for _ in range(n + 1)]
     covered = 0
     for hh, orbit in blocks:
         counts = _extension_counts(n, hh)
@@ -227,8 +228,7 @@ def _scan_blocks(
         for t in range(1, n + 1):
             max_counts[t], found = _lane_reduce(counts[t], max_counts[t], bounds[t])
             census[t] += orbit * len(found)
-            if t in masks:
-                masks[t].extend(base | lane for lane in found)
+            masks[t].extend(base | lane for lane in found)
     return max_counts, census, masks, covered
 
 
@@ -236,38 +236,39 @@ def _exhaustive_reports(
     n: int,
     ts: Sequence[int],
     side: str,
-    blocks: Sequence[tuple[int, int]],
-    parts: Iterable[tuple[list[int], list[int], dict[int, list[int]], int]],
+    parts: Iterable[tuple[list[int], list[int], list[list[int]], int]],
 ) -> list[ExtremalReport]:
-    """Merge the _scan_blocks results of one scan of blocks into one report
-    per t; raises ValueError unless they cover exactly the 2^C(n,2) labeled
-    graphs, or if the census of a t fails but its rescanned attainers are
-    the extremal graph alone. A t fails if a count passes f or its census
-    is not _labeled_copies(n, t)."""
+    """Merge the _scan_blocks results of one pass over the blocks, in block
+    order, into one report per t; raises ValueError unless they cover
+    exactly the 2^C(n,2) labeled graphs, or if the census of a t fails but
+    its attainer masks are the extremal graph alone. A t fails if a count
+    passes f or its census is not _labeled_copies(n, t); only then are its
+    masks keyed, and the report names their classes in the order of their
+    smallest labeled mask."""
     total = 1 << (n * (n - 1) // 2)
-    max_counts, census, covered = [0] * (n + 1), [0] * (n + 1), 0
-    for mc, cs, _, graphs in parts:
+    max_counts, census, masks, covered = [0] * (n + 1), [0] * (n + 1), [[]] * (n + 1), 0
+    for mc, cs, ms, graphs in parts:
         max_counts = list(map(max, max_counts, mc))
         census = list(map(add, census, cs))
+        masks = list(map(add, masks, ms))
         covered += graphs
     if covered != total:
         raise ValueError(
             f"exhaustive scan covered {covered} of the {total} labeled graphs on {n} vertices"
         )
-    copies = {t: _labeled_copies(n, t) for t in ts}
-    failed = [t for t in ts if max_counts[t] > bound_f(n, t).f or census[t] != copies[t]]
-    masks = _scan_blocks(n, blocks, failed)[2] if failed else {}
     # the masks are clique-side attainers: the MIS attainer is the complement
     flip = total - 1 if side == "mis" else 0  # XOR with all edges complements
     reports = []
     for t in ts:
-        keys = [_EXTREMAL] if t not in masks else (
+        copies = _labeled_copies(n, t)
+        passed = max_counts[t] <= bound_f(n, t).f and census[t] == copies
+        keys = [_EXTREMAL] if passed else (
             _attainer_key(n, mask ^ flip, side == "clique") for mask in masks[t])
         report = _report(n, t, side, max_counts[t], keys, covered, f"exhaustive-labeled({n})")
-        if report.unique_attainer and census[t] != copies[t]:
+        if report.unique_attainer and census[t] != copies:
             raise ValueError(
                 f"exhaustive scan found {census[t]} labeled attainers at n={n}, t={t}, "
-                f"all of them the extremal graph, which has {copies[t]} labeled copies"
+                f"all of them the extremal graph, which has {copies} labeled copies"
             )
         reports.append(report)
     return reports

@@ -338,15 +338,25 @@ def test_census_counts_the_labeled_copies_of_the_extremal_graph(monkeypatch):
     """The scan's census, orbit times attainer lanes summed over the blocks,
     is n!/|Aut H(n,t)| for every 1 <= t <= n <= 8. The scan counts the
     clique side, and T(n,t) is the complement of H(n,t), so the one census
-    certifies both sides: neither keys an attainer."""
+    certifies both sides: neither keys an attainer. Every mask the pass
+    keeps, one per attainer lane of a block, is the extremal graph on
+    both sides by the plane test."""
+    kept = {}
     for n in range(1, 9):
         max_counts, census, masks, covered = scan._scan_blocks(
             n, _orbit_representatives(max(n - 2, 0))
         )
-        assert covered == 1 << n * (n - 1) // 2 and masks == {}
+        everything = (1 << n * (n - 1) // 2) - 1
+        assert covered == everything + 1
         for t in range(1, n + 1):
             assert max_counts[t] == bound_f(n, t).f, (n, t)
             assert census[t] == scan._labeled_copies(n, t), (n, t)
+            for mask in masks[t]:
+                assert extremal._attainer_key(n, mask ^ everything, False) is extremal._EXTREMAL
+                assert extremal._attainer_key(n, mask, True) is extremal._EXTREMAL
+        kept[n] = [len(masks[t]) for t in range(1, n + 1)]
+    assert kept[7] == [1, 4, 8, 9, 28, 12, 1]
+    assert kept[8] == [1, 3, 10, 3, 18, 40, 14, 1]
     monkeypatch.setattr(scan, "_attainer_key", lambda *args: pytest.fail("keyed"))
     for side in ("mis", "clique"):
         for n in range(1, 8):
@@ -367,25 +377,43 @@ def _patch_lane(monkeypatch, t, hh, lane, count):
     monkeypatch.setattr(scan, "_extension_counts", patched)
 
 
-def test_an_extra_attainer_fails_the_census_and_is_named(monkeypatch):
+def test_an_extra_attainer_fails_the_census_and_is_named(monkeypatch, serial_pool):
     # lane 3 of the block of the empty G'' is the path 3-5-4, with no
     # 3-clique and an induced P3: patched to f, it is an attainer class of
-    # its own, first in mask order, which the rescan names
+    # its own, first in mask order, which the report names from the masks
+    # of the one pass, in-process and through the pool
     n, t = 6, 3
     _patch_lane(monkeypatch, t, 0, 3, bound_f(n, t).f)
+    patched = scan._extension_counts
+    calls = []
+
+    def counted(n, hh):
+        calls.append(hh)
+        return patched(n, hh)
+
+    monkeypatch.setattr(scan, "_extension_counts", counted)
+    monkeypatch.setattr(extremal, "_POOL_MIN_BLOCKS", 1)
+    monkeypatch.setattr("os.cpu_count", lambda: 3)
     path = from_triangle_mask(n, 3)
     assert path.edges() == [(3, 5), (4, 5)]
     for side, extra in (("mis", complement(path)), ("clique", path)):
-        (report,) = verify_bound_exhaustive(n, ts=[t], side=side)
-        assert report.bound_holds and not report.unique_attainer
-        assert report.attainers == (canonical_form(extra), canonical_form(_expected(n, t, side)))
+        for workers in (1, 3):
+            calls.clear()
+            (report,) = verify_bound_exhaustive(n, ts=[t], side=side, workers=workers)
+            # one kernel call per orbit block of G'' on 4 vertices
+            assert len(calls) == 11, (side, workers)
+            assert report.bound_holds and not report.unique_attainer
+            assert report.attainers == (
+                canonical_form(extra), canonical_form(_expected(n, t, side))
+            )
+    assert serial_pool.sizes == [3, 3]
     # the other t pass the census and keep their reports
     assert verify_bound_exhaustive(n, ts=[2], side="mis")[0].unique_attainer
 
 
 def test_a_lost_attainer_contradicts_the_census(monkeypatch):
-    # one attainer lane lowered to f - 1: the rescan finds the extremal graph
-    # alone, but fewer labeled copies than it has
+    # one attainer lane lowered to f - 1: the masks of the pass are the
+    # extremal graph alone, but fewer labeled copies than it has
     n, t = 6, 3
     f = bound_f(n, t).f
     hh, lane = next(
@@ -416,7 +444,7 @@ def test_verify_matches_a_scan_of_every_block(monkeypatch, side, lowered):
         blocks = [(hh, 1) for hh in range(1 << (n - 2) * (n - 3) // 2 if n > 1 else 1)]
         every = scan._scan_blocks(n, blocks)
         ts = range(1, n + 1)
-        expected = scan._exhaustive_reports(n, ts, side, blocks, [every])
+        expected = scan._exhaustive_reports(n, ts, side, [every])
         assert verify_bound_exhaustive(n, side=side) == expected, n
 
 
