@@ -100,7 +100,7 @@ def cmd_count(args: argparse.Namespace) -> int:
             # a lane's counts and a 0xFF, above any count (243 at most), key its line
             stride = item.n + 2
             rows = bytearray(b"\xff") * (stride * item.size)
-            for size, column in enumerate(mis_lane_counts(item.n, item.size, item.edge_planes())):
+            for size, column in enumerate(mis_lane_counts(item.n, item.size, item.planes)):
                 rows[size::stride] = column
             end = index + item.size
             # one write per thousand indices, whose lines share a head

@@ -139,39 +139,23 @@ def read_graph6_stream(lines: Iterable[str], start: int = 1) -> Iterator[Graph]:
             raise CodecError(str(exc), line=lineno) from None
 
 
-class Graph6Block(namedtuple("Graph6Block", "n size columns")):
-    """`size` graph6 lines of one order n, by column: the tuple columns
-    holds bytes, columns[c] data character c (the one after the order
-    character) of every line, byte g from line g."""
-
-    __slots__ = ()
-
-    def lane_mask(self, g: int) -> int:
-        """The triangle mask of line g, read from its byte of each column."""
-        bitstream = 0
-        for column in self.columns:
-            bitstream = bitstream << 6 | column[g] - 63
-        return bitstream >> 6 * len(self.columns) - self.n * (self.n - 1) // 2
-
-    def edge_planes(self) -> tuple[int, ...]:
-        """Per pair p in triangle_pairs order, an int whose bit g is set where
-        line g has the pair, bit 5 - p % 6 of column p // 6. A column's values,
-        8 lines to a slot, transpose to bytes of which byte b holds bit b."""
-        width = -(-self.size // 8) * 8
-        values = (column.translate(_CHAR_BITS).ljust(width, b"\0") for column in self.columns)
-        rows = list(_transpose8(values, width))
-        return tuple(
-            int.from_bytes(rows[p // 6][5 - p % 6::8], "little")
-            for p in range(self.n * (self.n - 1) // 2)
-        )
+# `size` >= 2 graph6 lines of one order n as the lane kernel's edge planes:
+# planes[p], for pair p in triangle_pairs order, has bit g set where line g
+# has the pair
+Graph6Block = namedtuple("Graph6Block", "n size planes")
 
 
 def _graph6_block(text: str) -> Graph6Block | None:
-    """The lines of text as one block, or None unless every line is a bare
-    short-form graph6 string of one order n <= _LANE_MAX_N, which the lane
-    kernel counts, that graph6_decode accepts, ended by a newline. A header
-    before the first line is skipped, as graph6_decode skips it. Checked on
-    the whole text, with no object per line."""
+    """The lines of text as one block, or None unless there are two or more
+    and every line is a bare short-form graph6 string of one order
+    n <= _LANE_MAX_N, which the lane kernel counts, that graph6_decode
+    accepts, ended by a newline. A header before the first line is skipped,
+    as graph6_decode skips it. Checked on the whole text, with no object per
+    line.
+
+    Pair p is bit 5 - p % 6 of data character p // 6. The characters of
+    each column, 8 lines to a slot, transpose to bytes of which byte b
+    holds bit b."""
     if text.startswith(GRAPH6_HEADER):
         text = text[len(GRAPH6_HEADER):]
     if not (text.endswith("\n") and text.isascii()):
@@ -187,12 +171,17 @@ def _graph6_block(text: str) -> Graph6Block | None:
     # a newline at the end of each stride and nowhere else: lines of one length
     if extra or raw.count(b"\n") != size or raw[stride - 1::stride].count(b"\n") != size:
         return None
-    if raw[::stride].count(raw[:1]) != size or raw.translate(None, _LINE_CHARS):
+    if size < 2 or raw[::stride].count(raw[:1]) != size or raw.translate(None, _LINE_CHARS):
         return None
     pad = 6 * nbytes - nbits
     if pad and raw[stride - 2::stride].translate(None, _ZERO_PAD_CHARS[pad]):
         return None
-    return Graph6Block(n, size, tuple(raw[c::stride] for c in range(1, nbytes + 1)))
+    width = -(-size // 8) * 8
+    bits = raw.translate(_CHAR_BITS)
+    values = (bits[c::stride].ljust(width, b"\0") for c in range(1, nbytes + 1))
+    rows = list(_transpose8(values, width))
+    planes = tuple(int.from_bytes(rows[p // 6][5 - p % 6::8], "little") for p in range(nbits))
+    return Graph6Block(n, size, planes)
 
 
 def read_graph6_blocks(fh: io.TextIOBase) -> Iterator[Graph6Block | Graph]:
@@ -202,9 +191,9 @@ def read_graph6_blocks(fh: io.TextIOBase) -> Iterator[Graph6Block | Graph]:
     The text is read _BLOCK_CHARS characters at a time, plus the rest of
     the line they stop in. Each such cut that _graph6_block takes comes out
     as one Graph6Block. A cut it refuses splits into runs of lines of one
-    length: a run of two lines or more that _graph6_block takes is a block,
-    any other goes through read_graph6_stream, one Graph per line, and from
-    a blank line on, the rest of the stream does. The line numbers run on,
+    length: a run that _graph6_block takes is a block, any other goes
+    through read_graph6_stream, one Graph per line, and from a blank line
+    on, the rest of the stream does. The line numbers run on,
     so the errors name the same line as for the whole stream.
     """
     lineno = 1
@@ -217,7 +206,7 @@ def read_graph6_blocks(fh: io.TextIOBase) -> Iterator[Graph6Block | Graph]:
         blank = [*map(str.isspace, lines), True].index(True)
         for _, run in groupby(lines[:blank], len):
             run = list(run)
-            block = _graph6_block("".join(run)) if len(run) > 1 else None
+            block = _graph6_block("".join(run))
             yield from read_graph6_stream(run, start=lineno) if block is None else [block]
             lineno += len(run)
         if blank < len(lines):

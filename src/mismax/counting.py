@@ -142,8 +142,8 @@ def mis_lane_counts(
     graph, whose non-edge planes are the edge planes of the block.
 
     edges[p] is the edge plane of pair p (triangle_pairs order), a big int
-    with bit g set where graph g has the pair, as Graph6Block.edge_planes
-    makes them; XOR with every lane gives the non-edge plane.
+    with bit g set where graph g has the pair, as Graph6Block.planes holds
+    them; XOR with every lane gives the non-edge plane.
 
     A depth-first search visits the vertex sets S in ascending order, with
     the lanes ind where S is independent and, per vertex v, the lanes free[v]

@@ -161,6 +161,12 @@ def _attainer_key(n: int, mask: int, turan: bool) -> Hashable:
     return _EXTREMAL if _p3_free_lanes(n, 1, planes, turan) else _attainer_form(n, mask)
 
 
+def _lane_mask(planes: Sequence[int], lane: int) -> int:
+    """The triangle mask of one lane of a block's edge planes, the inverse
+    of _attainer_key's planes of one lane."""
+    return sum((plane >> lane & 1) << b for b, plane in enumerate(reversed(planes)))
+
+
 def _extremal_form(n: int, t: int, turan: bool) -> CanonicalForm:
     """The form of H(n,t), or of T(n,t) if turan, in a closed form that
     equals canonical_form's up to CANON_MAX_N, with no search; above it,
@@ -351,14 +357,13 @@ def verify_bound_stream(
                 keys[_attainer_key(n, triangle_mask(item), turan)] = None
         else:
             examined += item.size
-            planes = item.edge_planes()
-            counts = mis_lane_counts(n, item.size, planes, complement=not turan)
+            counts = mis_lane_counts(n, item.size, item.planes, complement=not turan)
             max_observed, lanes = _lane_reduce(counts[t] if t <= n else b"", max_observed, f)
-            free = _p3_free_lanes(n, item.size, planes, turan) if lanes else 0
+            free = _p3_free_lanes(n, item.size, item.planes, turan) if lanes else 0
             # a recognized lane is not decoded, and a repeated mask would give
             # a key that keys already holds
             found = dict.fromkeys(
-                _EXTREMAL if free >> lane & 1 else item.lane_mask(lane) for lane in lanes
+                _EXTREMAL if free >> lane & 1 else _lane_mask(item.planes, lane) for lane in lanes
             )
             for key in found:
                 if key is not _EXTREMAL:  # the mask of an unrecognized lane

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
-from itertools import accumulate
-from operator import add, mul
+from math import factorial
+from operator import add
 
 from .extremal import (
     EXHAUSTIVE_MAX_N,
@@ -71,9 +71,6 @@ def _orbit_representatives(m: int) -> Iterator[tuple[int, int]]:
     """
     if m > 7:
         raise ValueError("exhaustive orbit walk limited to m <= 7")
-    if m <= 1:
-        yield 0, 1
-        return
     nbits = m * (m - 1) // 2
     total = 1 << nbits
     width = nbits // 2
@@ -193,13 +190,13 @@ def _labeled_copies(n: int, t: int) -> int:
     """The labeled copies of H(n,t), and of its complement T(n,t):
     n!/|Aut H(n,t)|, with |Aut H(n,t)| = q!^(t-r) (t-r)! (q+1)!^r r!."""
     q, r = divmod(n, t)
-    fact = list(accumulate(range(1, n + 2), mul, initial=1))
-    return fact[n] // (fact[q] ** (t - r) * fact[t - r] * fact[q + 1] ** r * fact[r])
+    aut = factorial(q) ** (t - r) * factorial(t - r) * factorial(q + 1) ** r * factorial(r)
+    return factorial(n) // aut
 
 
 def _scan_blocks(
     n: int, blocks: Iterable[tuple[int, int]]
-) -> tuple[list[int], list[int], list[list[int]], int]:
+) -> tuple[list[int], list[list[tuple[int, int]]], int]:
     """Worker: count the maximal cliques of the labeled n-vertex graphs whose
     first n-2 vertices have triangle mask hh, for each (hh, orbit) of blocks,
     2^(2n-3) graphs per mask (the one graph for n = 1).
@@ -210,15 +207,14 @@ def _scan_blocks(
     orbit, the block holds the smallest labeled mask of every class the
     orbit's blocks contain.
 
-    Returns, indexed by t: the maximum counts; the census, orbit * attainer
-    lanes summed over the blocks; and the masks attaining bound_f(n,t), in
-    block order, one per attainer lane, each standing for its orbit. Last,
-    the graphs covered: orbit * 2^(2n-3) a block.
+    Returns, indexed by t: the maximum counts, and the attainers of
+    bound_f(n,t), in block order, one (mask, orbit) per attainer lane of a
+    block, the mask standing for the orbit's graphs. Last, the graphs
+    covered: orbit * 2^(2n-3) a block.
     """
     bounds = [0] + [bound_f(n, t).f for t in range(1, n + 1)]
     max_counts = [0] * (n + 1)
-    census = [0] * (n + 1)
-    masks: list[list[int]] = [[] for _ in range(n + 1)]
+    attainers: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
     covered = 0
     for hh, orbit in blocks:
         counts = _extension_counts(n, hh)
@@ -227,30 +223,29 @@ def _scan_blocks(
         base = hh * lanes  # hh << (2n-3)
         for t in range(1, n + 1):
             max_counts[t], found = _lane_reduce(counts[t], max_counts[t], bounds[t])
-            census[t] += orbit * len(found)
-            masks[t].extend(base | lane for lane in found)
-    return max_counts, census, masks, covered
+            attainers[t].extend((base | lane, orbit) for lane in found)
+    return max_counts, attainers, covered
 
 
 def _exhaustive_reports(
     n: int,
     ts: Sequence[int],
     side: str,
-    parts: Iterable[tuple[list[int], list[int], list[list[int]], int]],
+    parts: Iterable[tuple[list[int], list[list[tuple[int, int]]], int]],
 ) -> list[ExtremalReport]:
     """Merge the _scan_blocks results of one pass over the blocks, in block
     order, into one report per t; raises ValueError unless they cover
     exactly the 2^C(n,2) labeled graphs, or if the census of a t fails but
-    its attainer masks are the extremal graph alone. A t fails if a count
-    passes f or its census is not _labeled_copies(n, t); only then are its
-    masks keyed, and the report names their classes in the order of their
-    smallest labeled mask."""
+    its attainer masks are the extremal graph alone. The census of a t is
+    the orbit sizes of its attainers summed, the labeled graphs attaining
+    f. A t fails if a count passes f or its census is not
+    _labeled_copies(n, t); only then are its masks keyed, and the report
+    names their classes in the order of their smallest labeled mask."""
     total = 1 << (n * (n - 1) // 2)
-    max_counts, census, masks, covered = [0] * (n + 1), [0] * (n + 1), [[]] * (n + 1), 0
-    for mc, cs, ms, graphs in parts:
+    max_counts, attainers, covered = [0] * (n + 1), [[]] * (n + 1), 0
+    for mc, found, graphs in parts:
         max_counts = list(map(max, max_counts, mc))
-        census = list(map(add, census, cs))
-        masks = list(map(add, masks, ms))
+        attainers = list(map(add, attainers, found))
         covered += graphs
     if covered != total:
         raise ValueError(
@@ -261,13 +256,14 @@ def _exhaustive_reports(
     reports = []
     for t in ts:
         copies = _labeled_copies(n, t)
-        passed = max_counts[t] <= bound_f(n, t).f and census[t] == copies
+        census = sum(orbit for _, orbit in attainers[t])
+        passed = max_counts[t] <= bound_f(n, t).f and census == copies
         keys = [_EXTREMAL] if passed else (
-            _attainer_key(n, mask ^ flip, side == "clique") for mask in masks[t])
+            _attainer_key(n, mask ^ flip, side == "clique") for mask, _ in attainers[t])
         report = _report(n, t, side, max_counts[t], keys, covered, f"exhaustive-labeled({n})")
-        if report.unique_attainer and census[t] != copies:
+        if report.unique_attainer and census != copies:
             raise ValueError(
-                f"exhaustive scan found {census[t]} labeled attainers at n={n}, t={t}, "
+                f"exhaustive scan found {census} labeled attainers at n={n}, t={t}, "
                 f"all of them the extremal graph, which has {copies} labeled copies"
             )
         reports.append(report)

@@ -14,6 +14,7 @@ import pytest
 import mismax
 from mismax import (
     CodecError,
+    bound_f,
     build_H,
     build_turan,
     graph6_decode,
@@ -341,7 +342,7 @@ def test_verify_recognizes_the_benchmark_attainers_without_search(capsys, monkey
     for target in (
         "mismax.canon.canonical_form",
         "mismax.extremal.from_triangle_mask",
-        "mismax.codec.Graph6Block.lane_mask",
+        "mismax.extremal._lane_mask",
     ):
         monkeypatch.setattr(target, lambda *args, target=target: calls.append(target))
     code, out, _ = run(capsys, workload.argv)
@@ -742,7 +743,8 @@ def test_verify_recognizes_graphs_above_the_block_orders(capsys, monkeypatch, n)
 def test_count_h15_on_lanes_and_h16_line_by_line(capsys, monkeypatch, csv):
     # H(15,5) = 5 K3 has 243 maximal independent sets, the most any graph of
     # order 15 has (Moon-Moser), and a byte lane holds it; H(16,5) = 4 K3 + K4
-    # has 324, which a lane would wrap, so order 16 must stay off the lanes
+    # has 324, which a lane would wrap, so order 16 must stay off the lanes;
+    # two lines of each make a block of order 15
     calls = []
     monkeypatch.setattr(
         "mismax.counting.mis_lane_counts",
@@ -750,14 +752,36 @@ def test_count_h15_on_lanes_and_h16_line_by_line(capsys, monkeypatch, csv):
     )
     argv = ["count", "--csv"] if csv else ["count"]
     for n, count in ((15, 243), (16, 324)):
-        stdin = graph6_encode(build_H(n, 5)) + "\n"
+        stdin = (graph6_encode(build_H(n, 5)) + "\n") * 2
         code, out, err = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
         if csv:
-            text = f'index,n,counts,total,poly\n0,{n},"0,0,0,0,0,{count}",{count},{count}x^5\n'
+            text = "index,n,counts,total,poly\n" + "".join(
+                f'{i},{n},"0,0,0,0,0,{count}",{count},{count}x^5\n' for i in range(2)
+            )
         else:
-            text = f"graph=0 n={n} counts=0,0,0,0,0,{count} total={count} poly={count}x^5\n"
+            text = "".join(
+                f"graph={i} n={n} counts=0,0,0,0,0,{count} total={count} poly={count}x^5\n"
+                for i in range(2)
+            )
         assert (code, out, err) == (0, text, "")
     assert calls == [15]
+
+
+# one line of a block order is no block: count and verify --input take it
+# on its own, with no lane kernel call
+@pytest.mark.parametrize("n", [13, 15])
+def test_one_line_input_goes_line_by_line(capsys, monkeypatch, n):
+    calls = []
+    monkeypatch.setattr("mismax.counting.mis_lane_counts", lambda *args, **kw: calls.append(args))
+    text = graph6_encode(build_H(n, 5)) + "\n"
+    count = bound_f(n, 5).f
+    assert run(capsys, ["count"], stdin=text, monkeypatch=monkeypatch) == (
+        0, f"graph=0 n={n} counts=0,0,0,0,0,{count} total={count} poly={count}x^5\n", ""
+    )
+    for side in ("mis", "clique"):
+        expected = verify_line_by_line(text, 5, side)
+        assert verify_blocks(capsys, monkeypatch, text, 5, side) == expected
+    assert calls == []
 
 
 def test_cli_import_skips_multiprocessing():

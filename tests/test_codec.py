@@ -16,6 +16,7 @@ from mismax import (
 )
 
 from mismax.codec import Graph6Block, _graph6_block, read_graph6_blocks
+from mismax.extremal import _lane_mask
 from mismax.graph import triangle_mask
 
 from conftest import path_graph, random_graph, rows_by_bit_walk
@@ -222,14 +223,31 @@ def text_of(lines):
     return "".join(line + "\n" for line in lines)
 
 
+def mask_planes(n, masks):
+    """The edge planes of the graphs of the triangle masks, lane g the graph
+    of masks[g]: pair p of triangle_pairs is mask bit nbits-1-p."""
+    nbits = n * (n - 1) // 2
+    return tuple(
+        sum((mask >> nbits - 1 - p & 1) << g for g, mask in enumerate(masks)) for p in range(nbits)
+    )
+
+
 # orders 13 and 15 are block orders above the subset tables: 13 pads no
 # bit, and 15 pads 3 bits of its 18 columns
 @pytest.mark.parametrize("n", [0, 1, 4, 9, 10, 12, 13, 15])
 def test_graph6_block_cuts_valid_lines_into_columns(n):
     rng = random.Random(n)
-    lines = [graph6_of_mask(n, rng.getrandbits(n * (n - 1) // 2)) for _ in range(20)]
-    columns = tuple(bytes(ord(line[c]) for line in lines) for c in range(1, len(lines[0])))
-    assert _graph6_block(text_of(lines)) == Graph6Block(n, 20, columns)
+    masks = [rng.getrandbits(n * (n - 1) // 2) for _ in range(20)]
+    lines = [graph6_of_mask(n, mask) for mask in masks]
+    assert _graph6_block(text_of(lines)) == Graph6Block(n, 20, mask_planes(n, masks))
+
+
+def test_graph6_block_is_two_lines_or_more():
+    assert Graph6Block._fields == ("n", "size", "planes")
+    line = graph6_of_mask(9, 0x2F1D3)
+    assert _graph6_block(text_of([line])) is None
+    assert _graph6_block(">>graph6<<" + text_of([line])) is None
+    assert _graph6_block(text_of([line, line])) == Graph6Block(9, 2, mask_planes(9, [0x2F1D3] * 2))
 
 
 # orders 2, 3, 5 to 8, 10, 11, 14 and 15 pad their last character; 70 lanes
@@ -240,10 +258,10 @@ def test_edge_planes_hold_the_pair_bits_of_each_line(n):
     nbits = n * (n - 1) // 2
     lines = [graph6_of_mask(n, rng.getrandbits(nbits)) for _ in range(70)]
     masks = [triangle_mask(graph6_decode(line)) for line in lines]
-    planes = _graph6_block(text_of(lines)).edge_planes()
-    assert len(planes) == nbits
-    for p, plane in enumerate(planes):
-        assert plane == sum((mask >> nbits - 1 - p & 1) << g for g, mask in enumerate(masks)), p
+    planes = _graph6_block(text_of(lines)).planes
+    assert planes == mask_planes(n, masks)
+    # the verifier reads an unrecognized attainer lane's mask back from them
+    assert [_lane_mask(planes, g) for g in range(70)] == masks
 
 
 @pytest.mark.parametrize("n", [9, 10])
@@ -294,7 +312,8 @@ def test_read_graph6_blocks_split_a_refused_cut_at_its_odd_lines(monkeypatch):
     # line by line
     monkeypatch.setattr("mismax.codec._BLOCK_CHARS", 8)
     items = list(read_graph6_blocks(io.StringIO("Bw\nBo\nBw\nBo\nA_\nBw\n")))
-    assert items[0] == Graph6Block(3, 3, (b"wow",))
+    # "w" holds the pairs 0, 1 and 2, "o" the pairs 0 and 1
+    assert items[0] == Graph6Block(3, 3, (0b111, 0b111, 0b101))
     assert items[1:] == [graph6_decode(line) for line in ["Bo", "A_", "Bw"]]
     with pytest.raises(CodecError, match="^line 5: "):
         list(read_graph6_blocks(io.StringIO("Bw\nBo\nBw\nBo\nA\n")))

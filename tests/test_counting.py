@@ -16,7 +16,7 @@ from mismax import (
     mis_size_profile,
     oracle_mis_size_profile,
 )
-from mismax.codec import _BLOCK_CHARS, Graph6Block, read_graph6_blocks
+from mismax.codec import _BLOCK_CHARS, _graph6_block, read_graph6_blocks
 from mismax.counting import (
     _LANE_MAX_N,
     _TABLE_MAX_N,
@@ -234,12 +234,13 @@ def test_profile_matches_oracle_at_the_edges(n):
 
 def lane_profiles(graphs, complement=True):
     """The per-graph count tuples of mis_lane_counts on one block of
-    same-order graphs, its columns cut here from the graph6 strings."""
-    lines = [graph6_encode(g) for g in graphs]
-    n = graphs[0].n
-    columns = [bytes(ord(line[c]) for line in lines) for c in range(1, len(lines[0]))]
-    planes = Graph6Block(n, len(lines), columns).edge_planes()
-    return list(zip(*mis_lane_counts(n, len(lines), planes, complement)))
+    same-order graphs, its planes cut by _graph6_block from the graph6
+    strings. A block holds two lines or more, so the strings are cut twice
+    over and the planes kept to the first len(graphs) lanes."""
+    text = "".join(graph6_encode(g) + "\n" for g in graphs)
+    block = _graph6_block(text * 2)
+    planes = [plane & (1 << len(graphs)) - 1 for plane in block.planes]
+    return list(zip(*mis_lane_counts(block.n, len(graphs), planes, complement)))
 
 
 def subset_profiles(graphs, complement=True):
@@ -321,7 +322,7 @@ def test_lane_counts_match_subset_scan_on_a_full_block():
     graphs[0], graphs[-1] = build_H(9, 3), build_H(9, 4)
     [block] = read_graph6_blocks(io.StringIO("".join(graph6_encode(g) + "\n" for g in graphs)))
     assert block.size == len(graphs)
-    lanes = mis_lane_counts(block.n, block.size, block.edge_planes())
+    lanes = mis_lane_counts(block.n, block.size, block.planes)
     assert list(zip(*lanes)) == subset_profiles(graphs)
 
 

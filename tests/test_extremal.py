@@ -28,7 +28,7 @@ from mismax import (
     verify_bound_stream,
 )
 from mismax import canon, counting, extremal, scan
-from mismax.codec import Graph6Block, graph6_encode, read_graph6_blocks
+from mismax.codec import graph6_encode, read_graph6_blocks
 from mismax.counting import _LANE_MAX_N, maximal_clique_counts, mis_lane_counts
 from mismax.proof import auto_split_vertex
 from mismax.scan import _orbit_representatives
@@ -335,26 +335,27 @@ def test_labeled_copies_count_the_relabelings_of_the_extremal_graphs():
 
 
 def test_census_counts_the_labeled_copies_of_the_extremal_graph(monkeypatch):
-    """The scan's census, orbit times attainer lanes summed over the blocks,
-    is n!/|Aut H(n,t)| for every 1 <= t <= n <= 8. The scan counts the
-    clique side, and T(n,t) is the complement of H(n,t), so the one census
-    certifies both sides: neither keys an attainer. Every mask the pass
-    keeps, one per attainer lane of a block, is the extremal graph on
-    both sides by the plane test."""
+    """The scan's census, the orbit sizes of its (mask, orbit) attainer
+    records summed, is n!/|Aut H(n,t)| for every 1 <= t <= n <= 8. The scan
+    counts the clique side, and T(n,t) is the complement of H(n,t), so the
+    one census certifies both sides: neither keys an attainer. Every mask
+    the pass keeps, one per attainer lane of a block, is the extremal graph
+    on both sides by the plane test."""
     kept = {}
     for n in range(1, 9):
-        max_counts, census, masks, covered = scan._scan_blocks(
-            n, _orbit_representatives(max(n - 2, 0))
-        )
+        blocks = list(_orbit_representatives(max(n - 2, 0)))
+        max_counts, attainers, covered = scan._scan_blocks(n, blocks)
         everything = (1 << n * (n - 1) // 2) - 1
         assert covered == everything + 1
         for t in range(1, n + 1):
             assert max_counts[t] == bound_f(n, t).f, (n, t)
-            assert census[t] == scan._labeled_copies(n, t), (n, t)
-            for mask in masks[t]:
+            assert sum(orbit for _, orbit in attainers[t]) == scan._labeled_copies(n, t), (n, t)
+            for mask, orbit in attainers[t]:
+                # the mask is a lane of the block of G'' mask hh, with its orbit
+                assert (mask >> max(2 * n - 3, 0), orbit) in blocks
                 assert extremal._attainer_key(n, mask ^ everything, False) is extremal._EXTREMAL
                 assert extremal._attainer_key(n, mask, True) is extremal._EXTREMAL
-        kept[n] = [len(masks[t]) for t in range(1, n + 1)]
+        kept[n] = [len(attainers[t]) for t in range(1, n + 1)]
     assert kept[7] == [1, 4, 8, 9, 28, 12, 1]
     assert kept[8] == [1, 3, 10, 3, 18, 40, 14, 1]
     monkeypatch.setattr(scan, "_attainer_key", lambda *args: pytest.fail("keyed"))
@@ -771,17 +772,17 @@ def test_stream_block_decodes_no_recognized_lane(monkeypatch, side):
     relabeled = [_relabeled(rng, graph) for _ in range(1000)]
     [block] = _blocks(relabeled)
     decoded = []
-    lane_mask = Graph6Block.lane_mask
+    lane_mask = extremal._lane_mask
 
-    def lane_spy(self, g):
+    def lane_spy(planes, g):
         decoded.append(g)
-        return lane_mask(self, g)
+        return lane_mask(planes, g)
 
     def rows_spy(n, mask):
         decoded.append(mask)
         return from_triangle_mask(n, mask)
 
-    monkeypatch.setattr(Graph6Block, "lane_mask", lane_spy)
+    monkeypatch.setattr(extremal, "_lane_mask", lane_spy)
     monkeypatch.setattr(extremal, "from_triangle_mask", rows_spy)
     report = verify_bound_stream([block], 3, side)
     assert decoded == []
