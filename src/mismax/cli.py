@@ -10,8 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from collections.abc import Iterator, Sequence
-from contextlib import contextmanager
+from collections.abc import Sequence
+from contextlib import contextmanager, nullcontext
 from itertools import islice
 
 # each command imports the modules it runs: verify --n loads extremal and
@@ -20,22 +20,16 @@ from .graph import Graph, _graph6
 
 
 @contextmanager
-def _opened(path: str):
-    if path == "-":
-        yield sys.stdin
-    else:
-        with open(path, "r") as fh:
-            yield fh
+def _items(path: str, fmt: str = "graph6"):
+    """The input at path, or stdin for -, as the items of read_graph6_blocks,
+    or as the one graph of an edge list; either is read as it is taken."""
+    from .codec import read_edge_list, read_graph6_blocks
 
-
-def _read_graphs(path: str, fmt: str) -> Iterator[Graph]:
-    from .codec import read_edge_list, read_graph6_stream
-
-    with _opened(path) as fh:
+    with nullcontext(sys.stdin) if path == "-" else open(path) as fh:
         if fmt == "graph6":
-            yield from read_graph6_stream(fh)
+            yield read_graph6_blocks(fh)
         else:
-            yield read_edge_list(fh.read())
+            yield (read_edge_list(f.read()) for f in [fh])
 
 
 def _parse_t_range(spec: str) -> tuple[int, int]:
@@ -44,7 +38,7 @@ def _parse_t_range(spec: str) -> tuple[int, int]:
         lo, hi = spec.split("..", 1)
         lo, hi = int(lo), int(hi)
         if hi < lo:
-            raise SystemExit2(f"empty t range {spec}")
+            raise ValueError(f"empty t range {spec}")
         return lo, hi
     t = int(spec)
     return t, t
@@ -76,22 +70,17 @@ class _CountTemplates(dict):
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    from .codec import read_edge_list, read_graph6_blocks
     from .counting import mis_lane_counts, mis_size_profile
 
     out = sys.stdout
     head = "" if args.csv else "graph="
-    if args.csv:
-        out.write("index,n,counts,total,poly\n")
     templates = _CountTemplates(args.csv)
     # an index below 1000 is one of numbers; from 1000 on, its thousands and one of digits
     numbers, digits = list(map(str, range(1000))), [str(i)[1:] for i in range(1000, 2000)]
     index = 0
-    with _opened(args.input) as fh:
-        if args.format == "graph6":
-            items = read_graph6_blocks(fh)
-        else:
-            items = [read_edge_list(fh.read())]
+    with _items(args.input, args.format) as items:
+        if args.csv:
+            out.write("index,n,counts,total,poly\n")
         for item in items:
             if isinstance(item, Graph):
                 out.write(f"{head}{index}{templates[mis_size_profile(item).counts]}")
@@ -144,18 +133,15 @@ def cmd_extremal(args: argparse.Namespace) -> int:
     return 0
 
 
-def _format_attainers(forms) -> str:
-    """The graph6 of each CanonicalForm, joined by |, or - for none."""
-    return "|".join(_graph6(cf.n, cf.key) for cf in forms) or "-"
-
-
 def _print_report(report) -> None:
+    # the graph6 of each attainer's CanonicalForm, joined by |, or - for none
+    attainers = "|".join(_graph6(cf.n, cf.key) for cf in report.attainers) or "-"
     sys.stdout.write(
         f"n={report.n} t={report.t} f={report.f} "
         f"max_observed={report.max_observed} "
         f"bound_holds={str(report.bound_holds).lower()} "
         f"unique_attainer={str(report.unique_attainer).lower()} "
-        f"attainers={_format_attainers(report.attainers)} "
+        f"attainers={attainers} "
         f"graphs_examined={report.graphs_examined} "
         f"coverage={report.coverage}\n"
     )
@@ -170,21 +156,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
         scan_flags = {"--n": args.n, "--all-t": args.all_t or None, "--workers": args.workers}
         given = [flag for flag, value in scan_flags.items() if value is not None]
         if given:
-            raise SystemExit2(f"{' and '.join(given)} cannot be combined with --input")
+            raise ValueError(f"{' and '.join(given)} cannot be combined with --input")
         if args.t is None:
-            raise SystemExit2("--t is required with --input")
-        from .codec import read_graph6_blocks
-
-        with _opened(args.input) as fh:
-            reports.append(verify_bound_stream(
-                read_graph6_blocks(fh), args.t, side=args.side, source=args.input
-            ))
+            raise ValueError("--t is required with --input")
+        with _items(args.input) as items:
+            reports.append(verify_bound_stream(items, args.t, side=args.side, source=args.input))
         exhaustive = False
     else:
         if args.n is None:
-            raise SystemExit2("one of --n or --input is required")
+            raise ValueError("one of --n or --input is required")
         if args.t is None and not args.all_t:
-            raise SystemExit2("give --t or --all-t")
+            raise ValueError("give --t or --all-t")
         ts = None if args.all_t else [args.t]
         reports.extend(
             verify_bound_exhaustive(
@@ -207,11 +189,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     from .proof import AUTO, induction_split, proof_subcase
 
-    # a second graph is enough to refuse the input: the rest is not read
-    graphs = list(islice(_read_graphs(args.input, args.format), 2))
-    if len(graphs) != 1:
+    # a second item, or a block of graphs, is enough to refuse the input:
+    # the rest is not read
+    with _items(args.input, args.format) as items:
+        graphs = list(islice(items, 2))
+    if len(graphs) != 1 or not isinstance(graphs[0], Graph):
         got = "more than one" if graphs else "0"
-        raise SystemExit2(f"trace expects exactly one graph, got {got}")
+        raise ValueError(f"trace expects exactly one graph, got {got}")
     g = graphs[0]
     v: int | str = AUTO if args.v == "auto" else int(args.v)
     report = induction_split(g, args.t, v)
@@ -223,10 +207,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         f"total={report.a_count + report.b_count}\n"
     )
     return 0
-
-
-class SystemExit2(Exception):
-    """Usage error; main converts to exit code 2."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -305,7 +285,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         with _any_int_digits():
             return args.func(args)
-    except (ValueError, SystemExit2, OSError) as exc:  # CodecError is a ValueError
+    except (ValueError, OSError) as exc:  # usage errors and CodecError are ValueErrors
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -82,10 +82,6 @@ def build_turan(n: int, k: int) -> Graph:
     ]
     return from_edges(n, edges)
 
-def _check_exhaustive_order(n: int) -> None:
-    if not 1 <= n <= EXHAUSTIVE_MAX_N:
-        raise ValueError(f"exhaustive scan needs 1 <= n <= {EXHAUSTIVE_MAX_N}, got {n}")
-
 
 class ExtremalReport(namedtuple(
     "ExtremalReport",
@@ -280,7 +276,8 @@ def verify_bound_exhaustive(
     the report names their classes in the order of their smallest labeled
     mask, as a scan of every block would.
     """
-    _check_exhaustive_order(n)
+    if not 1 <= n <= EXHAUSTIVE_MAX_N:
+        raise ValueError(f"exhaustive scan needs 1 <= n <= {EXHAUSTIVE_MAX_N}, got {n}")
     if side not in ("mis", "clique"):
         raise ValueError("side must be 'mis' or 'clique'")
     if workers < 1:

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from mismax import Graph, from_edges
+from mismax import Graph, from_edges, scan
 from mismax.counting import _expand
 from mismax.graph import _complement_rows, bits, from_triangle_mask, triangle_pairs
 
@@ -97,6 +97,20 @@ def graphs(draw, min_n: int = 0, max_n: int = 8):
     nbits = n * (n - 1) // 2
     mask = draw(st.integers(0, (1 << nbits) - 1))
     return from_triangle_mask(n, mask)
+
+
+def patch_lane(monkeypatch, t, hh, lane, count):
+    """Patch the exhaustive scan: set the count of size t in lane of the
+    block hh to count."""
+    real = scan._extension_counts
+
+    def patched(n, block):
+        counts = real(n, block)
+        if block == hh:
+            counts[t] = counts[t][:lane] + bytes([count]) + counts[t][lane + 1:]
+        return counts
+
+    monkeypatch.setattr(scan, "_extension_counts", patched)
 
 
 class SerialPool:

@@ -125,6 +125,25 @@ def test_orbit_representatives_are_canonical_keys():
                 assert size == len(relabeled), (m, mask)
 
 
+def classes_by_extension(m):
+    """(canonical key, labeled copies) of each class of order m, built from
+    the classes of order m - 1 independently of the orbit walk at m: each
+    class (R, w) of order m - 1, with each neighbourhood N of a new last
+    vertex, stands for w labeled graphs isomorphic to R << (m-1) | N."""
+    totals = {}
+    for r, w in _orbit_representatives(m - 1):
+        for nb in range(1 << (m - 1)):
+            key = canonical_form(from_triangle_mask(m, r << (m - 1) | nb)).key
+            totals[key] = totals.get(key, 0) + w
+    return sorted(totals.items())
+
+
+# m = 7 runs in CI, outside tier-1, for its run time
+@pytest.mark.parametrize("m", range(2, 7))
+def test_orbit_walk_matches_generation_by_extension(m):
+    assert classes_by_extension(m) == list(_orbit_representatives(m))
+
+
 def test_symmetric_graphs_fast_paths():
     # twin pruning keeps highly symmetric graphs cheap
     assert canonical_form(empty_graph(10)).key == 0

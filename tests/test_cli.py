@@ -29,7 +29,7 @@ from mismax.cli import _any_int_digits, _print_report, main
 from mismax.codec import _BLOCK_CHARS
 from mismax.counting import mis_lane_counts, polynomial_string
 
-from conftest import permute, random_graph
+from conftest import patch_lane, permute, random_graph
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -88,6 +88,12 @@ def test_count_csv(capsys, monkeypatch):
     lines = out.splitlines()
     assert lines[0] == "index,n,counts,total,poly"
     assert lines[1] == '0,3,"0,3",3,3x'
+
+
+def test_count_csv_writes_no_header_for_a_missing_file(capsys, tmp_path):
+    code, out, err = run(capsys, ["count", "--csv", str(tmp_path / "missing.g6")])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno 2] No such file or directory")
 
 
 def count_stream():
@@ -529,6 +535,35 @@ def test_verify_usage_errors(capsys):
     code, out, err = run(capsys, ["verify", "--n", "10", "--t", "2"])
     assert (code, out) == (2, "")
     assert "exhaustive scan needs 1 <= n <= 9, got 10" in err
+    # --t is checked before the input is opened
+    code, out, err = run(capsys, ["verify", "--input", "missing.g6"])
+    assert (code, out, err) == (2, "", "error: --t is required with --input\n")
+
+
+def test_verify_exits_1_on_an_extra_attainer(capsys, monkeypatch):
+    # lane 3 of the block of the empty G'' patched to f: its graph, the
+    # complement of the path 3-5-4, joins H(6,3) as an attainer class
+    patch_lane(monkeypatch, 3, 0, 3, bound_f(6, 3).f)
+    code, out, _ = run(capsys, ["verify", "--n", "6", "--t", "3"])
+    assert (code, out) == (1, (
+        "n=6 t=3 f=8 max_observed=8 bound_holds=true unique_attainer=false "
+        "attainers=EN~w|E@Q? graphs_examined=32768 coverage=exhaustive-labeled(6)\n"
+    ))
+
+
+def test_verify_exits_1_on_a_count_above_the_bound(capsys, monkeypatch):
+    # f one lower than H(6,2) attains: the bound fails and no graph attains f
+    from mismax import extremal
+
+    real = extremal.bound_f
+    monkeypatch.setattr(extremal, "bound_f", lambda n, t: real(n, t)._replace(f=real(n, t).f - 1))
+    code, out, _ = run(
+        capsys, ["verify", "--input", "-", "--t", "2"], stdin="EwCW\n", monkeypatch=monkeypatch
+    )
+    assert (code, out) == (1, (
+        "n=6 t=2 f=8 max_observed=9 bound_holds=false unique_attainer=false "
+        "attainers=- graphs_examined=1 coverage=stream(-)\n"
+    ))
 
 
 def test_verify_parse_error(capsys, monkeypatch):
@@ -550,6 +585,20 @@ def test_trace_turan(capsys, monkeypatch):
     assert code == 0
     assert "subcase=1b" in out
     assert "total=12" in out
+
+
+def test_trace_edge_list(capsys, monkeypatch):
+    from mismax import write_edge_list
+
+    code, out, err = run(
+        capsys,
+        ["trace", "--t", "3", "--format", "edgelist"],
+        stdin=write_edge_list(build_turan(7, 3)),
+        monkeypatch=monkeypatch,
+    )
+    assert (code, out, err) == (0, (
+        "n=7 t=3 v=4 subcase=1b a_count=4 b_count=8 nbhd_count=4 gminus_count=8 total=12\n"
+    ), "")
 
 
 def test_trace_k7(capsys, monkeypatch):
@@ -595,9 +644,12 @@ def test_trace_bad_vertex(capsys, monkeypatch):
     assert code == 2
 
 
-@pytest.mark.parametrize("stdin,got", [("", "0"), ("Bw\nBw\nxx\n", "more than one")])
+@pytest.mark.parametrize(
+    "stdin,got", [("", "0"), ("Bw\nBw\nxx\n", "more than one"), ("Bw\nBw\n", "more than one")]
+)
 def test_trace_reads_at_most_two_graphs(capsys, monkeypatch, stdin, got):
-    # a second graph refuses the input: the malformed third line is not read
+    # a second graph refuses the input: the malformed third line is not
+    # read; two lines of one order are read as one block, refused as well
     code, out, err = run(capsys, ["trace", "--t", "2"], stdin=stdin, monkeypatch=monkeypatch)
     assert (code, out, err) == (2, "", f"error: trace expects exactly one graph, got {got}\n")
 

@@ -118,6 +118,7 @@ def test_edge_list_normalizes():
         ("a b", 1),
         ("2 1\n0", 2),
         ("2 1\n0 x", 2),
+        ("2 1\n\n0 x", 3),  # a blank line is skipped, and counted
     ],
 )
 def test_edge_list_errors_carry_line_numbers(bad, lineno):

@@ -43,6 +43,7 @@ from mismax.graph import (
 from conftest import (
     graphs,
     moon_moser_total,
+    patch_lane,
     path_graph,
     permute,
     random_graph,
@@ -83,6 +84,8 @@ def test_build_H():
     assert build_H(4, 4) == empty_graph(4)
     with pytest.raises(ValueError):
         build_H(3, 4)
+    with pytest.raises(ValueError, match="t must be >= 1"):
+        build_H(3, 0)
 
 
 def test_build_turan():
@@ -154,11 +157,15 @@ def test_induction_split_auto_vertex():
     assert auto_split_vertex(path_graph(4)) == 0
     star = from_edges(4, [(0, 1), (0, 2), (0, 3)])
     assert auto_split_vertex(star) == 1
+    with pytest.raises(ValueError, match="graph has no vertices"):
+        auto_split_vertex(empty_graph(0))
 
 
 def test_induction_split_rejects_bad_vertex():
     with pytest.raises(ValueError):
         induction_split(path_graph(3), 2, 5)
+    with pytest.raises(ValueError, match="t must be >= 1"):
+        induction_split(path_graph(3), 0)
 
 
 @given(graphs(min_n=1, max_n=8), st.data())
@@ -199,6 +206,8 @@ def test_proof_subcases():
     assert proof_subcase(build_turan(7, 3), 3) == "1b"
     assert proof_subcase(build_turan(6, 3), 3) == "2b"
     assert proof_subcase(complete_graph(6), 3) == "2a"
+    with pytest.raises(ValueError, match="t must be >= 1"):
+        proof_subcase(complete_graph(6), 0)
 
 
 @pytest.mark.parametrize(
@@ -365,26 +374,13 @@ def test_census_counts_the_labeled_copies_of_the_extremal_graph(monkeypatch):
             assert all(r.bound_holds and r.unique_attainer for r in reports), (n, side)
 
 
-def _patch_lane(monkeypatch, t, hh, lane, count):
-    """Set the count of size t in lane of the block hh to count."""
-    real = scan._extension_counts
-
-    def patched(n, block):
-        counts = real(n, block)
-        if block == hh:
-            counts[t] = counts[t][:lane] + bytes([count]) + counts[t][lane + 1:]
-        return counts
-
-    monkeypatch.setattr(scan, "_extension_counts", patched)
-
-
 def test_an_extra_attainer_fails_the_census_and_is_named(monkeypatch, serial_pool):
     # lane 3 of the block of the empty G'' is the path 3-5-4, with no
     # 3-clique and an induced P3: patched to f, it is an attainer class of
     # its own, first in mask order, which the report names from the masks
     # of the one pass, in-process and through the pool
     n, t = 6, 3
-    _patch_lane(monkeypatch, t, 0, 3, bound_f(n, t).f)
+    patch_lane(monkeypatch, t, 0, 3, bound_f(n, t).f)
     patched = scan._extension_counts
     calls = []
 
@@ -422,7 +418,7 @@ def test_a_lost_attainer_contradicts_the_census(monkeypatch):
         for hh, _ in _orbit_representatives(n - 2)
         if f in scan._extension_counts(n, hh)[t]
     )
-    _patch_lane(monkeypatch, t, hh, lane, f - 1)
+    patch_lane(monkeypatch, t, hh, lane, f - 1)
     with pytest.raises(ValueError, match="labeled attainers at n=6, t=3"):
         verify_bound_exhaustive(n, ts=[t])
 
@@ -562,6 +558,10 @@ def test_verify_rejects_bad_args():
         verify_bound_exhaustive(5, ts=[0])
     with pytest.raises(ValueError):
         verify_bound_exhaustive(5, side="both")
+    with pytest.raises(ValueError, match="t must be >= 1"):
+        verify_bound_stream([empty_graph(4)], 0)
+    with pytest.raises(ValueError, match="side must be 'mis' or 'clique'"):
+        verify_bound_stream([empty_graph(4)], 2, side="x")
 
 
 def _expected(n, t, side):
