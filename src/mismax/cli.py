@@ -44,33 +44,8 @@ def _parse_t_range(spec: str) -> tuple[int, int]:
     return t, t
 
 
-class _CountTemplates(dict):
-    """Count lines after their index, by the counts of sizes 0..n, formatted on first
-    lookup: streams repeat few profiles. At limit lines, a new one drops them all."""
-
-    limit = 4096
-
-    def __init__(self, csv: bool):
-        from .counting import SizeProfile, polynomial_string
-
-        self.fields = ',{},"{}",{},{}\n' if csv else " n={} counts={} total={} poly={}\n"
-        self.profile, self.polynomial = SizeProfile, polynomial_string
-
-    def __missing__(self, counts: Sequence[int]) -> str:
-        if len(self) >= self.limit:
-            self.clear()
-        if isinstance(counts, bytes):  # a block lane's, a byte per size
-            coeffs = counts[:len(counts.rstrip(b"\0")) or 1]
-        else:  # a Graph's profile counts, which may pass a byte
-            coeffs = self.profile(len(counts) - 1, counts).coefficients()
-        self[counts] = line = self.fields.format(
-            len(counts) - 1, ",".join(map(str, coeffs)), sum(coeffs), self.polynomial(coeffs)
-        )
-        return line
-
-
 def cmd_count(args: argparse.Namespace) -> int:
-    from .counting import mis_lane_counts, mis_size_profile
+    from .counting import _CountTemplates, mis_lane_counts, mis_size_profile
 
     out = sys.stdout
     head = "" if args.csv else "graph="
@@ -249,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="scan processes (default 1); only --n 9 starts a pool, as --n 8 takes "
-        "about 0.1 s with one",
+        help="scan processes (default 1); only --n 9 and 10 start a pool, as --n 8 "
+        "takes about 0.1 s with one",
     )
     p.set_defaults(func=cmd_verify)
 

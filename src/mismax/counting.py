@@ -47,10 +47,16 @@ class SizeProfile(namedtuple("SizeProfile", "n counts")):
 
     def coefficients(self) -> list[int]:
         """Polynomial coefficients, constant term first, trailing zeros trimmed."""
-        coeffs = list(self.counts)
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs.pop()
-        return coeffs
+        return list(_trimmed(self.counts))
+
+
+def _trimmed(counts: Sequence[int]) -> Sequence[int]:
+    """counts up to its last nonzero entry, the first kept: the polynomial
+    coefficients of a profile's counts or of a block lane's bytes."""
+    end = len(counts)
+    while end > 1 and not counts[end - 1]:
+        end -= 1
+    return counts[:end]
 
 
 def _expand(adj: tuple[int, ...], visit, rmask: int, rsize: int, p: int, x: int) -> None:
@@ -223,7 +229,7 @@ def maximal_clique_size_profile(g: Graph) -> SizeProfile:
     return SizeProfile(g.n, tuple(maximal_clique_counts(g.adj, g.n)))
 
 
-def polynomial_string(coeffs: list[int]) -> str:
+def polynomial_string(coeffs: Sequence[int]) -> str:
     """Render coefficients like [0, 0, 3] as "3x^2"."""
     terms = []
     for power, c in enumerate(coeffs):
@@ -236,6 +242,25 @@ def polynomial_string(coeffs: list[int]) -> str:
         else:
             terms.append(f"{c}x^{power}" if c != 1 else f"x^{power}")
     return " + ".join(terms) if terms else "0"
+
+
+class _CountTemplates(dict):
+    """Count lines after their index, by the counts of sizes 0..n, formatted on first
+    lookup: streams repeat few profiles. At limit lines, a new one drops them all."""
+
+    limit = 4096
+
+    def __init__(self, csv: bool):
+        self.fields = ',{},"{}",{},{}\n' if csv else " n={} counts={} total={} poly={}\n"
+
+    def __missing__(self, counts: Sequence[int]) -> str:
+        if len(self) >= self.limit:
+            self.clear()
+        coeffs = _trimmed(counts)
+        self[counts] = line = self.fields.format(
+            len(counts) - 1, ",".join(map(str, coeffs)), sum(coeffs), polynomial_string(coeffs)
+        )
+        return line
 
 
 def oracle_mis_size_profile(g: Graph) -> SizeProfile:

@@ -23,7 +23,7 @@ from .graph import (
     triangle_mask,
 )
 
-EXHAUSTIVE_MAX_N = 9
+EXHAUSTIVE_MAX_N = 10
 _JOBS_PER_WORKER = 4
 # fewer blocks scan faster in-process than a pool starts: on a 2-core VM
 # all 156 of n = 8 did, and the pool broke even at 100-300 blocks of n = 9

@@ -63,14 +63,14 @@ def _permutation_bit_tables(n: int, perm: list[int], width: int) -> list[list[in
 
 def _orbit_representatives(m: int) -> Iterator[tuple[int, int]]:
     """Yield (mask, orbit size) for each orbit of S_m on the triangle masks
-    of order m (m <= 7), by a walk over all 2^(m(m-1)/2) masks.
+    of order m, by a walk over all 2^(m(m-1)/2) masks.
 
     The walk starts a new orbit at each mask not yet visited, in ascending
     order, so the yielded mask is the smallest in its orbit, which is its
     canonical_form key. The orbit sizes sum to 2^(m(m-1)/2).
     """
-    if m > 7:
-        raise ValueError("exhaustive orbit walk limited to m <= 7")
+    if m > EXHAUSTIVE_MAX_N - 2:
+        raise ValueError(f"exhaustive orbit walk limited to m <= {EXHAUSTIVE_MAX_N - 2}")
     nbits = m * (m - 1) // 2
     total = 1 << nbits
     width = nbits // 2

@@ -108,7 +108,7 @@ def test_isomorphism_class_counts_small():
 
 def test_class_count_order_ceiling():
     with pytest.raises(ValueError):
-        list(_orbit_representatives(8))
+        list(_orbit_representatives(9))
 
 
 def test_orbit_representatives_are_canonical_keys():

@@ -24,10 +24,9 @@ from mismax import (
     read_graph6_stream,
     verify_bound_stream,
 )
-from mismax import cli
 from mismax.cli import _any_int_digits, _print_report, main
 from mismax.codec import _BLOCK_CHARS
-from mismax.counting import mis_lane_counts, polynomial_string
+from mismax.counting import _CountTemplates, mis_lane_counts, polynomial_string
 
 from conftest import patch_lane, permute, random_graph
 
@@ -362,13 +361,13 @@ def test_count_format_cache_is_bounded(capsys, monkeypatch):
     # prints every line as it would with them all
     sizes = []
 
-    class Templates(cli._CountTemplates):
+    class Templates(_CountTemplates):
         def __missing__(self, key):
             line = super().__missing__(key)
             sizes.append(len(self))
             return line
 
-    monkeypatch.setattr("mismax.cli._CountTemplates", Templates)
+    monkeypatch.setattr("mismax.counting._CountTemplates", Templates)
     stdin = "\n".join(count_stream()) + "\n"
     expected = run(capsys, ["count"], stdin=stdin, monkeypatch=monkeypatch)
     distinct = len(sizes)
@@ -532,9 +531,9 @@ def test_verify_stream_stdin(capsys, monkeypatch):
 def test_verify_usage_errors(capsys):
     assert run(capsys, ["verify"])[0] == 2
     assert run(capsys, ["verify", "--n", "6"])[0] == 2
-    code, out, err = run(capsys, ["verify", "--n", "10", "--t", "2"])
+    code, out, err = run(capsys, ["verify", "--n", "11", "--t", "2"])
     assert (code, out) == (2, "")
-    assert "exhaustive scan needs 1 <= n <= 9, got 10" in err
+    assert "exhaustive scan needs 1 <= n <= 10, got 11" in err
     # --t is checked before the input is opened
     code, out, err = run(capsys, ["verify", "--input", "missing.g6"])
     assert (code, out, err) == (2, "", "error: --t is required with --input\n")

@@ -553,7 +553,7 @@ def test_verify_rejects_bad_args():
     with pytest.raises(ValueError):
         verify_bound_exhaustive(0)
     with pytest.raises(ValueError):
-        verify_bound_exhaustive(10)
+        verify_bound_exhaustive(11)
     with pytest.raises(ValueError):
         verify_bound_exhaustive(5, ts=[0])
     with pytest.raises(ValueError):
